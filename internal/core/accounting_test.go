@@ -212,6 +212,49 @@ func TestCandidateEvalThresholdProbes(t *testing.T) {
 	}
 }
 
+// TestCandidateEvalSteadyStateProbes locks in the warm start: once the
+// controller holds a level below the top, each later decision probes
+// only that level (admissible) and the next one up (not) — exactly 2
+// probes. An 8-level chain with per-level cost 10(qi+1) and D(a_i) =
+// 40(i+1), executed at Cav, puts the elapsed time at 40i before action
+// i, where the combined slack is 40(i+1) − 10(qi+1): level 3 (slack
+// 40i) is admissible, level 4 (40i − 10) is not, at every position.
+func TestCandidateEvalSteadyStateProbes(t *testing.T) {
+	levels := NewLevelRange(0, 7)
+	cost := make([]Cycles, 8)
+	for qi := range cost {
+		cost[qi] = Cycles(10 * (qi + 1))
+	}
+	const n = 6
+	sys := chainSystem(t, levels, cost, n, 40)
+	c := mustController(t, sys)
+	prev := 0
+	for step := 0; !c.Done(); step++ {
+		d, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.LevelIndex != 3 || d.Fallback {
+			t.Fatalf("step %d: decision %+v, want level index 3 without fallback", step, d)
+		}
+		probes := c.Stats().CandidateEval - prev
+		prev = c.Stats().CandidateEval
+		// The first decision has no hint: the top probe fails, then
+		// the binary search over [0..6] probes 3 (hit), 5 and 4.
+		want := 2
+		if step == 0 {
+			want = 4
+		}
+		if probes != want {
+			t.Errorf("step %d: %d probes, want %d", step, probes, want)
+		}
+		c.Completed(sys.Cav.At(d.Level, d.Action))
+	}
+	if got, want := c.Stats().CandidateEval, 4+2*(n-1); got != want {
+		t.Errorf("cycle CandidateEval = %d, want %d", got, want)
+	}
+}
+
 // TestPreemptShrinksAdmission checks that external CPU time charged via
 // Preempt degrades admission exactly like a late cycle start: with 15 of
 // the first deadline's 10-cycle slack pre-consumed, only qmin remains

@@ -209,31 +209,43 @@ func (tb *Tables) Allowed(qi, i int, t Cycles) bool {
 // the number of threshold probes performed, or (-1, probes) when no
 // level is admissible. soft restricts the test to Qual_Const^av.
 //
-// The top candidate is probed first (the common case when the cycle is
-// on time), then the remaining range is binary-searched when the slack
-// profile at i is monotone, and linearly scanned otherwise.
+// Where the slack profile at i is monotone, the search starts from the
+// hint (see LevelSelector) or, without one, from the top candidate (the
+// common case when the cycle is on time), and binary-searches what the
+// first probes leave open. Non-monotone positions are scanned linearly
+// down from hi.
 //
 //qos:hotpath
-func (tb *Tables) MaxAdmissibleLevel(i, hi int, t Cycles, soft bool) (int, int) {
+func (tb *Tables) MaxAdmissibleLevel(i, hi, hint int, t Cycles, soft bool) (int, int) {
 	slab, mono := tb.minSlack, tb.minMono
 	if soft {
 		slab, mono = tb.avSlack, tb.avMono
 	}
 	row := slab[i*tb.nl : i*tb.nl+tb.nl : i*tb.nl+tb.nl]
-	probes := 1
-	if t <= row[hi] {
-		return hi, probes
-	}
 	if !mono[i] {
-		for qi := hi - 1; qi >= 0; qi-- {
-			probes++
+		for qi := hi; qi >= 0; qi-- {
 			if t <= row[qi] {
-				return qi, probes
+				return qi, hi - qi + 1
 			}
 		}
-		return -1, probes
+		return -1, hi + 1
 	}
-	lo, up, chosen := 0, hi-1, -1
+	lo, up, chosen, probes := 0, hi, -1, 1
+	switch {
+	case hint < 0 || hint >= hi:
+		if t <= row[hi] {
+			return hi, probes
+		}
+		up = hi - 1
+	case t > row[hint]:
+		up = hint - 1
+	default:
+		probes++
+		if t > row[hint+1] {
+			return hint, probes
+		}
+		lo, chosen = hint+2, hint+1
+	}
 	for lo <= up {
 		probes++
 		mid := int(uint(lo+up) >> 1)

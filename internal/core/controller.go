@@ -241,8 +241,9 @@ type ControllerStats struct {
 	// CandidateEval counts admissibility probes. On the threshold fast
 	// path (Tables, IterativeTables) it is the number of threshold
 	// comparisons the level selector performed — 1 when the top
-	// candidate is admissible, ≈ log₂|Q| otherwise via binary search —
-	// NOT the number of levels skipped. On the linear-scan reference
+	// candidate is admissible, 2 while the previous decision's level
+	// holds below it, ≈ log₂|Q| otherwise via binary search — NOT the
+	// number of levels skipped. On the linear-scan reference
 	// (WithReferenceScan) and the direct path it remains the number of
 	// candidate levels evaluated. Either way it measures admission work
 	// per decision.
@@ -490,14 +491,16 @@ func (c *Controller) Next() (Decision, error) {
 	chosen := -1
 	if sel := c.prog.selector; sel != nil {
 		// Threshold fast path: the selector yields the maximal
-		// admissible level directly (O(log|Q|) probes over the
-		// precomputed slack thresholds; zero allocations).
+		// admissible level directly over the precomputed slack
+		// thresholds, warm-started from the previous decision's level
+		// (2 probes while it holds, O(log|Q|) at worst; zero
+		// allocations).
 		teff := c.t
 		if c.dshift != 0 {
 			teff = teff.SubSat(c.dshift)
 		}
 		var probes int
-		chosen, probes = sel.MaxAdmissibleLevel(c.i, hi, teff, c.prog.mode == Soft)
+		chosen, probes = sel.MaxAdmissibleLevel(c.i, hi, c.last, teff, c.prog.mode == Soft)
 		c.stats.CandidateEval += probes
 	} else if c.prog.useTables {
 		for qi := hi; qi >= 0; qi-- {
@@ -654,7 +657,7 @@ func runCycle(c CycleDriver, exec func(ActionID, Level) Cycles, lean bool) (Cycl
 			return res, err
 		}
 		actual := exec(d.Action, d.Level)
-		deadline := sys.D.At(d.Level, d.Action)
+		deadline := sys.D.AtIndex(d.LevelIndex)[d.Action]
 		c.Completed(actual)
 		if !deadline.IsInf() && c.Elapsed() > deadline {
 			res.Misses++

@@ -1,10 +1,11 @@
 package core
 
 // Fuzz targets for the saturating Cycles arithmetic (differential
-// against a math/big reference) and for the controller's uniform
+// against a math/big reference), for the controller's uniform
 // deadline-shift machinery (metamorphic: the cumulative shift must
 // saturate, and a hard-mode controller must never carry a shift that
-// makes minimal quality infeasible).
+// makes minimal quality infeasible), and for the level selectors' warm
+// start (differential against the cold search and a linear scan).
 //
 // Run the full targets with e.g.
 //
@@ -13,6 +14,7 @@ package core
 import (
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -285,4 +287,97 @@ func FuzzShiftRetarget(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzLevelSelectorHint checks that the selectors' hint changes only
+// the probe pattern, never the answer. From a seed it builds random
+// Tables (hard and soft mode, with monotone and non-monotone
+// positions) and random IterativeTables (finite and infinite budgets,
+// probed up to two positions past the end of the cycle). For every
+// position, sampled elapsed time, hi clamp and hint in [-1, nl], the
+// level must equal both the cold search (hint -1) and a linear
+// top-down scan of the Evaluator, in [1, nl] probes. tRaw adds one
+// arbitrary elapsed time to every sample set.
+func FuzzLevelSelectorHint(f *testing.F) {
+	for _, s := range [][2]int64{{1, 0}, {3, 400}, {9, 50}, {18, -1}, {30, math.MaxInt64}, {5, math.MinInt64}} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, seed, tRaw int64) {
+		r := rand.New(rand.NewSource(seed))
+
+		sys := randomUniformOrderSystem(r, 8, 8)
+		tb := NewTables(sys, EDFSchedule(sys.Graph, sys.Cwc.AtIndex(0), sys.D.AtIndex(0)))
+		checkSelectorHints(t, "tables", tb, tb, tb.Len(), len(sys.Levels), func(i int) []Cycles {
+			// Every threshold of the position and its successor, so
+			// each level's admissibility flips somewhere in the set.
+			ts := []Cycles{Cycles(tRaw), 0}
+			for qi := 0; qi < tb.NumLevels(); qi++ {
+				for _, s := range []Cycles{tb.SlackAvAt(qi, i), tb.CombinedSlackAt(qi, i)} {
+					ts = append(ts, s, s.AddSat(1))
+				}
+			}
+			return ts
+		})
+
+		body := randomSystem(r, 6, 6)
+		order := EDFSchedule(body.Graph, body.Cwc.AtIndex(0), body.D.AtIndex(0))
+		iters := 1 + r.Intn(4)
+		var top Cycles
+		for _, c := range body.Cwc.AtIndex(len(body.Levels) - 1) {
+			top = top.AddSat(c)
+		}
+		span := int64(top.MulSat(Cycles(iters))) * 5 / 4
+		budget := Inf
+		if r.Intn(4) > 0 {
+			budget = Cycles(r.Int63n(span + 1))
+		}
+		it, err := NewIterativeTables(body, order, iters, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSelectorHints(t, "iterative", it, it, len(it.Order())+2, len(body.Levels), func(int) []Cycles {
+			ts := []Cycles{Cycles(tRaw), 0}
+			for k := 0; k < 16; k++ {
+				ts = append(ts, Cycles(r.Int63n(span+1)))
+			}
+			return ts
+		})
+	})
+}
+
+// checkSelectorHints runs the FuzzLevelSelectorHint comparison over
+// positions [0, positions) of one selector in both modes.
+func checkSelectorHints(t *testing.T, name string, sel LevelSelector, ev Evaluator, positions, nl int, times func(i int) []Cycles) {
+	t.Helper()
+	for _, soft := range []bool{false, true} {
+		for i := 0; i < positions; i++ {
+			for _, tv := range times(i) {
+				for hi := 0; hi < nl; hi++ {
+					want := -1
+					for qi := hi; qi >= 0; qi-- {
+						if ev.AllowedAv(qi, i, tv) && (soft || ev.AllowedWc(qi, i, tv)) {
+							want = qi
+							break
+						}
+					}
+					cold, _ := sel.MaxAdmissibleLevel(i, hi, -1, tv, soft)
+					if cold != want {
+						t.Fatalf("%s (i=%d t=%v hi=%d soft=%v): cold search = %d, linear scan = %d",
+							name, i, tv, hi, soft, cold, want)
+					}
+					for hint := -1; hint <= nl; hint++ {
+						got, probes := sel.MaxAdmissibleLevel(i, hi, hint, tv, soft)
+						if got != want {
+							t.Fatalf("%s (i=%d t=%v hi=%d soft=%v hint=%d): level %d, linear scan %d",
+								name, i, tv, hi, soft, hint, got, want)
+						}
+						if probes < 1 || probes > nl {
+							t.Fatalf("%s (i=%d t=%v hi=%d soft=%v hint=%d): %d probes, want [1, %d]",
+								name, i, tv, hi, soft, hint, probes, nl)
+						}
+					}
+				}
+			}
+		}
+	}
 }

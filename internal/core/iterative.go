@@ -134,74 +134,103 @@ func (it *IterativeTables) UpdateAverages(body *System, bodyOrder []ActionID) er
 	return nil
 }
 
-// split decomposes a global position into (iteration, in-body index).
-func (it *IterativeTables) split(i int) (m, j int) {
-	return i / it.bodyLen, i % it.bodyLen
+// unbounded reports whether every level is admissible at position i:
+// past the end of the cycle, or under an infinite budget.
+func (it *IterativeTables) unbounded(i int) bool {
+	return i >= it.bodyLen*it.iters || it.budget.IsInf()
+}
+
+// at decomposes position i into its in-body index j and the number r
+// of whole body iterations after the current one: the level-independent
+// part of every probe at i.
+func (it *IterativeTables) at(i int) (j int, r Cycles) {
+	return i % it.bodyLen, Cycles(it.iters - 1 - i/it.bodyLen)
+}
+
+// wcTail is the level-independent worst-case fallback tail after the
+// decided action: Σ Cwc_qmin over the rest of its body and the r bodies
+// after it.
+func (it *IterativeTables) wcTail(j int, r Cycles) Cycles {
+	return it.sufWcMin[j+1].AddSat(it.bodySumWcMin.MulSat(r))
+}
+
+// check tests level index qi at in-body index j, with r iterations
+// left and the position's wcTail, against Qual_Const^av (when av:
+// t <= budget − Σ Cav_q(remaining)) and Qual_Const^wc (when wc:
+// t <= budget − Cwc_q(next) − tail). The budget must be finite.
+func (it *IterativeTables) check(qi, j int, r, tail, t Cycles, av, wc bool) bool {
+	if av {
+		rem := it.sufAv[qi][j].AddSat(it.bodySumAv[qi].MulSat(r))
+		//qos:overflow-ok budget and rem are finite non-negative (IsInf is tested first, and callers rule out an infinite budget); their difference is within (−MaxInt64, MaxInt64]
+		if rem.IsInf() || t > it.budget-rem {
+			return false
+		}
+	}
+	if wc {
+		need := it.cwcAt[qi][j].AddSat(tail)
+		//qos:overflow-ok budget and need are finite non-negative (IsInf is tested first, and callers rule out an infinite budget); their difference is within (−MaxInt64, MaxInt64]
+		if need.IsInf() || t > it.budget-need {
+			return false
+		}
+	}
+	return true
 }
 
 // AllowedAv implements Evaluator: t <= budget − Σ Cav_q(remaining).
 func (it *IterativeTables) AllowedAv(qi, i int, t Cycles) bool {
-	if i >= it.bodyLen*it.iters {
+	if it.unbounded(i) {
 		return true
 	}
-	if it.budget.IsInf() {
-		return true
-	}
-	m, j := it.split(i)
-	rem := it.sufAv[qi][j].AddSat(it.bodySumAv[qi].MulSat(Cycles(it.iters - 1 - m)))
-	if rem.IsInf() {
-		return false
-	}
-	//qos:overflow-ok budget and rem are finite non-negative (guarded above); their difference is within (−MaxInt64, MaxInt64]
-	return t <= it.budget-rem
+	j, r := it.at(i)
+	return it.check(qi, j, r, 0, t, true, false)
 }
 
 // AllowedWc implements Evaluator: t <= budget − Cwc_q(next) − Σ
 // Cwc_qmin(tail).
 func (it *IterativeTables) AllowedWc(qi, i int, t Cycles) bool {
-	if i >= it.bodyLen*it.iters {
+	if it.unbounded(i) {
 		return true
 	}
-	if it.budget.IsInf() {
-		return true
-	}
-	m, j := it.split(i)
-	tail := it.sufWcMin[j+1].AddSat(it.bodySumWcMin.MulSat(Cycles(it.iters - 1 - m)))
-	need := it.cwcAt[qi][j].AddSat(tail)
-	if need.IsInf() {
-		return false
-	}
-	//qos:overflow-ok budget and need are finite non-negative (guarded above); their difference is within (−MaxInt64, MaxInt64]
-	return t <= it.budget-need
+	j, r := it.at(i)
+	return it.check(qi, j, r, it.wcTail(j, r), t, false, true)
 }
 
-// admissible is the conjunction the selector probes: Qual_Const^av, and
-// in hard mode also Qual_Const^wc.
-func (it *IterativeTables) admissible(qi, i int, t Cycles, soft bool) bool {
-	if soft {
-		return it.AllowedAv(qi, i, t)
-	}
-	return it.AllowedAv(qi, i, t) && it.AllowedWc(qi, i, t)
-}
-
-// MaxAdmissibleLevel implements LevelSelector in O(log|Q|) probes with
-// O(1) slack evaluation per probe. The suffix sums are non-decreasing in
-// the level (execution times are, by System invariant), so the
-// admissible set at a fixed position is always a prefix of the level
-// set and binary search applies unconditionally — the iterative tables
-// have no non-monotone fallback case.
+// MaxAdmissibleLevel implements LevelSelector with O(1) slack
+// evaluation per probe: the position decomposition and the worst-case
+// tail are computed once per decision, so a probe is one multiply-add
+// per constraint. The suffix sums are non-decreasing in the level
+// (execution times are, by System invariant), so the admissible set at
+// a fixed position is always a prefix of the level set and the
+// warm-started search of Tables' monotone rows applies unconditionally
+// — the iterative tables have no non-monotone fallback case.
 //
 //qos:hotpath
-func (it *IterativeTables) MaxAdmissibleLevel(i, hi int, t Cycles, soft bool) (int, int) {
-	probes := 1
-	if it.admissible(hi, i, t, soft) {
-		return hi, probes
+func (it *IterativeTables) MaxAdmissibleLevel(i, hi, hint int, t Cycles, soft bool) (int, int) {
+	if it.unbounded(i) {
+		return hi, 1
 	}
-	lo, up, chosen := 0, hi-1, -1
+	j, r := it.at(i)
+	tail, wc := it.wcTail(j, r), !soft
+	lo, up, chosen, probes := 0, hi, -1, 1
+	switch {
+	case hint < 0 || hint >= hi:
+		if it.check(hi, j, r, tail, t, true, wc) {
+			return hi, probes
+		}
+		up = hi - 1
+	case !it.check(hint, j, r, tail, t, true, wc):
+		up = hint - 1
+	default:
+		probes++
+		if !it.check(hint+1, j, r, tail, t, true, wc) {
+			return hint, probes
+		}
+		lo, chosen = hint+2, hint+1
+	}
 	for lo <= up {
 		probes++
 		mid := int(uint(lo+up) >> 1)
-		if it.admissible(mid, i, t, soft) {
+		if it.check(mid, j, r, tail, t, true, wc) {
 			chosen = mid
 			lo = mid + 1
 		} else {

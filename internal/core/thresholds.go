@@ -11,18 +11,28 @@ import "sync"
 // answering one level at a time (Evaluator), it yields the maximal
 // admissible level index directly, exploiting that admissibility at a
 // fixed position is a threshold test t ≤ slack over a (usually
-// monotone) per-position slack profile. Tables answers in O(log|Q|)
-// via binary search over its precomputed position-major slab;
-// IterativeTables answers in O(log|Q|) with O(1) slack evaluation per
-// probe.
+// monotone) per-position slack profile, so the admissible levels form a
+// prefix of the level set.
 //
 // MaxAdmissibleLevel returns the highest admissible level index in
 // [0, hi] at position i and elapsed time t (hi already carries any
 // smoothness clamp), or -1 when none is admissible, together with the
 // number of threshold probes performed (the ControllerStats.
 // CandidateEval currency). soft restricts the test to Qual_Const^av.
+//
+// hint is a warm start: the level index the caller chose at the
+// previous decision, or -1 when there is none (cycle start, or after a
+// fallback). It never changes the answer, only the probe pattern. On a
+// monotone profile with 0 ≤ hint < hi the selector probes hint and
+// hint+1 first; when the level holds (hint admissible, hint+1 not) that
+// is the answer in 2 probes, and otherwise only the side the probes
+// leave open is binary-searched. Without a usable hint (hint < 0 or
+// hint ≥ hi) it probes hi, then binary-searches below it. Either way a
+// decision costs O(1) probes while the level holds, 1 probe at the top
+// level, and O(log|Q|) probes in the worst case; non-monotone Tables
+// positions are scanned linearly down from hi and ignore the hint.
 type LevelSelector interface {
-	MaxAdmissibleLevel(i, hi int, t Cycles, soft bool) (chosen, probes int)
+	MaxAdmissibleLevel(i, hi, hint int, t Cycles, soft bool) (chosen, probes int)
 }
 
 var _ LevelSelector = (*Tables)(nil)

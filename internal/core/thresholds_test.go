@@ -206,7 +206,7 @@ func TestMaxAdmissibleLevelAgainstScan(t *testing.T) {
 								break
 							}
 						}
-						got, probes := tb.MaxAdmissibleLevel(i, hi, tv, soft)
+						got, probes := tb.MaxAdmissibleLevel(i, hi, -1, tv, soft)
 						if got != want {
 							t.Fatalf("seed %d (i=%d t=%v hi=%d soft=%v): MaxAdmissibleLevel = %d, scan = %d",
 								seed, i, tv, hi, soft, got, want)
@@ -268,7 +268,7 @@ func TestNonMonotoneSlackFallback(t *testing.T) {
 	if !(s1 < s2) {
 		t.Fatalf("profile not shaped as intended: s1=%v s2=%v", s1, s2)
 	}
-	got, _ := tb.MaxAdmissibleLevel(0, 2, s1+1, false)
+	got, _ := tb.MaxAdmissibleLevel(0, 2, -1, s1+1, false)
 	if got != 2 {
 		t.Fatalf("MaxAdmissibleLevel = %d, want 2 (non-monotone fallback)", got)
 	}

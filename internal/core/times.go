@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Cycles counts platform CPU cycles, the paper's time unit. Deadlines and
@@ -53,6 +54,17 @@ func (c Cycles) norm() Cycles {
 // Inf.AddSat(NegInf) is Inf, matching the admissibility reading where a
 // +∞ bound is never binding.
 func (c Cycles) AddSat(d Cycles) Cycles {
+	// Fast path, small enough to inline: two non-negative operands
+	// whose sum did not wrap. An infinite operand can only pass with a
+	// zero partner, and then the sum is Inf, as below.
+	if s := c + d; c|d|s >= 0 {
+		return s
+	}
+	return c.addSat(d)
+}
+
+// addSat is AddSat over the whole domain.
+func (c Cycles) addSat(d Cycles) Cycles {
 	if c.IsInf() || d.IsInf() {
 		return Inf
 	}
@@ -103,6 +115,16 @@ func (c Cycles) SubSat(d Cycles) Cycles {
 // matching the "no remaining iterations" reading of the iterative
 // tables that this helper grew out of.
 func (c Cycles) MulSat(k Cycles) Cycles {
+	// Fast path, small enough to inline: two operands in [0, 2^31)
+	// multiply exactly, below 2^62.
+	if uint64(c|k) < 1<<31 {
+		return c * k
+	}
+	return c.mulSat(k)
+}
+
+// mulSat is MulSat over the whole domain.
+func (c Cycles) mulSat(k Cycles) Cycles {
 	if c == 0 || k == 0 {
 		return 0
 	}
@@ -114,16 +136,28 @@ func (c Cycles) MulSat(k Cycles) Cycles {
 		}
 		return Inf
 	}
-	p := c * k
 	// Finite non-zero operands, none equal to MinInt64 (norm above), so
-	// the division probe is exact and safe.
-	if p/k != c {
+	// both magnitudes fit in uint64 and the full 128-bit product of the
+	// magnitudes decides overflow without a division.
+	hi, lo := bits.Mul64(uabs(c), uabs(k))
+	if hi != 0 || lo > uint64(Inf) {
 		if neg {
 			return NegInf
 		}
 		return Inf
 	}
-	return p.norm()
+	if neg {
+		return -Cycles(lo)
+	}
+	return Cycles(lo)
+}
+
+// uabs returns |c| for c > math.MinInt64.
+func uabs(c Cycles) uint64 {
+	if c < 0 {
+		return uint64(-c)
+	}
+	return uint64(c)
 }
 
 // MinCycles returns the smaller of a and b.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -268,5 +269,68 @@ func TestSubSatNegInfContract(t *testing.T) {
 	}
 	if got := Cycles(7).SubSat(Cycles(math.MinInt64)); got != Inf {
 		t.Errorf("7 - norm(MinInt64) = %v, want Inf", got)
+	}
+}
+
+// mulSatDiv is MulSat's previous division-based overflow probe, kept as
+// an oracle for the bits.Mul64 form: after the zero, normalisation and
+// sentinel cases, a finite product overflowed iff p/k != c.
+func mulSatDiv(c, k Cycles) Cycles {
+	if c == 0 || k == 0 {
+		return 0
+	}
+	c, k = c.norm(), k.norm()
+	neg := (c < 0) != (k < 0)
+	if c.IsInf() || k.IsInf() || c.IsNegInf() || k.IsNegInf() {
+		if neg {
+			return NegInf
+		}
+		return Inf
+	}
+	p := c * k
+	if p/k != c {
+		if neg {
+			return NegInf
+		}
+		return Inf
+	}
+	return p.norm()
+}
+
+// TestMulSatMatchesDivisionOracle pins the division-free MulSat to the
+// division-based form it replaced: exhaustively over every pair of an
+// edge set (zero, units, the infinities, MinInt64, powers of two around
+// the 32- and 63-bit boundaries, the square-root overflow boundary),
+// and on random operands of every magnitude.
+func TestMulSatMatchesDivisionOracle(t *testing.T) {
+	edges := []Cycles{
+		0, 1, -1, 2, -2,
+		math.MaxInt64, -math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		1 << 31, -(1 << 31), 1 << 32,
+		3037000499, 3037000500,
+		1 << 62, -(1 << 62),
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			if got, want := a.MulSat(b), mulSatDiv(a, b); got != want {
+				t.Errorf("MulSat(%d, %d) = %d, oracle %d", int64(a), int64(b), int64(got), int64(want))
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	operand := func() Cycles {
+		// A random magnitude of 0..63 bits and a random sign, so small,
+		// mid-range and near-overflow products are all common.
+		v := Cycles(r.Int63() >> uint(r.Intn(64)))
+		if r.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	for n := 0; n < 200000; n++ {
+		a, b := operand(), operand()
+		if got, want := a.MulSat(b), mulSatDiv(a, b); got != want {
+			t.Fatalf("MulSat(%d, %d) = %d, oracle %d", int64(a), int64(b), int64(got), int64(want))
+		}
 	}
 }

@@ -91,7 +91,9 @@ var _ Driver = (*core.Controller)(nil)
 // RunControlled executes one full cycle driven by the controller: for
 // each step the controller picks (action, level), the workload consumes
 // cycles, and the controller observes the completion time. The
-// controller must be at the start of a cycle (fresh or Reset).
+// controller must be at the start of a cycle (fresh or Reset), and sys
+// must be the system it controls: misses are checked against sys's
+// deadlines at each decision's level index.
 func (e *Executor) RunControlled(ctrl Driver, w Workload, sys *core.System) (Report, error) {
 	rep := Report{}
 	start := e.Clock.Now()
@@ -119,7 +121,7 @@ func (e *Executor) RunControlled(ctrl Driver, w Workload, sys *core.System) (Rep
 		// reads the cycle register, it does not introspect.
 		ctrl.Completed(elapsed.SubSat(ctrl.Elapsed()))
 
-		if dl := sys.D.At(d.Level, d.Action); !dl.IsInf() && elapsed > dl {
+		if dl := sys.D.AtIndex(d.LevelIndex)[d.Action]; !dl.IsInf() && elapsed > dl {
 			rep.Misses++
 		}
 		if e.RecordTrace {

@@ -272,7 +272,8 @@ type (
 	// Evaluator is the admissibility oracle interface.
 	Evaluator = core.Evaluator
 	// LevelSelector is the threshold fast path: the maximal admissible
-	// level in O(log|Q|) probes.
+	// level, warm-started from the previous decision's level: O(1)
+	// probes while that level holds, O(log|Q|) at worst.
 	LevelSelector = core.LevelSelector
 	// ProgramCache is a small LRU of re-targeted programs keyed by
 	// deadline family.
