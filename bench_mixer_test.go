@@ -57,7 +57,7 @@ func newMixerBench(tb testing.TB, streams int) *mixerBench {
 		tb.Fatal(err)
 	}
 	// Leasing armed: the measured serving path includes the per-cycle
-	// lease renewal (a field write under the lock CycleDelay already
+	// lease renewal (a field write under the lock LeaseDelay already
 	// takes — it must not add locks or allocations).
 	budget.SetLease(8)
 	m := &mixerBench{sys: sys, rt: rt, budget: budget, spec: spec}
@@ -90,7 +90,6 @@ func (m *mixerBench) serve(tb testing.TB, periods int) float64 {
 			rng := qos.NewRNG(uint64(i + 1))
 			s := m.rt.AcquireBudgeted(m.grants[i])
 			defer m.rt.Release(s)
-			s.SetLean(true) // steady-state serving: no per-cycle snapshots
 			sys := m.sys
 			// One workload closure per stream, hoisted out of the period
 			// loop so the loop itself allocates nothing.

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	qos "repro"
 )
@@ -50,12 +51,15 @@ func main() {
 	}
 
 	// Simulated execution: actual times land between average and worst
-	// case, drawn from a deterministic generator.
+	// case, drawn from a deterministic generator. The workload also
+	// notes which level each action ran at.
 	rng := qos.NewRNG(42)
 	g := sys.Graph
 	for cycle := 0; cycle < 5; cycle++ {
 		s.Reset()
+		var ran []string
 		res, err := s.RunFunc(func(a qos.ActionID, q qos.Level) qos.Cycles {
+			ran = append(ran, fmt.Sprintf("%s@q%d", g.Name(a), q))
 			av := sys.Cav.At(q, a)
 			wc := sys.Cwc.At(q, a)
 			return av.AddSat(qos.Cycles(rng.Float64() * float64(wc.SubSat(av))))
@@ -63,14 +67,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("cycle %d: finished at t=%-4s quality=", cycle, res.Elapsed)
-		for i, st := range res.Trace {
-			if i > 0 {
-				fmt.Print(",")
-			}
-			fmt.Printf("%s@q%d", g.Name(st.Action), st.Level)
-		}
-		fmt.Printf("  misses=%d\n", res.Misses)
+		fmt.Printf("cycle %d: finished at t=%-4s quality=%s  misses=%d\n",
+			cycle, res.Elapsed, strings.Join(ran, ","), res.Misses)
 	}
 	fmt.Printf("\n%d decisions ran at q0: the controller holds q1 while the\n", lowDecisions)
 	fmt.Println("budget allows and degrades process whenever q1 would be unsafe.")

@@ -52,18 +52,23 @@ func TestSparseLevelIndexAccounting(t *testing.T) {
 	sys := chainSystem(t, levels, []Cycles{1, 5, 9}, 4, 1000)
 	for _, tables := range []bool{true, false} {
 		c := mustController(t, sys, WithTables(tables))
+		// Deadlines are generous: the top level (value 5, index 2) is
+		// chosen for every action.
+		step := 0
 		res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+			if q != 5 {
+				t.Errorf("tables=%v step %d: level=%d, want 5", tables, step, q)
+			}
+			step++
 			return sys.Cav.At(q, a)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deadlines are generous: the top level (value 5, index 2) is
-		// chosen for every action.
-		for i, st := range res.Trace {
-			if st.Level != 5 || st.LevelIndex != 2 {
-				t.Errorf("tables=%v step %d: level=%d index=%d, want 5/2", tables, i, st.Level, st.LevelIndex)
-			}
+		// Indexes lie in [0, 2], so an index sum of 8 over 4 steps
+		// means index 2 at every step.
+		if res.Steps != 4 || res.LevelSum != 2*4 {
+			t.Errorf("tables=%v steps=%d index sum=%d, want 4 steps at index 2", tables, res.Steps, res.LevelSum)
 		}
 		if got := res.Stats.LevelSum; got != 2*4 {
 			t.Errorf("tables=%v LevelSum = %d, want 8 (index sum), not the value sum 20", tables, got)

@@ -616,41 +616,19 @@ type CycleDriver interface {
 	Next() (Decision, error)
 	Completed(Cycles)
 	Elapsed() Cycles
-	Position() int
-	Assignment() Assignment
-	Schedule() []ActionID
 	Stats() ControllerStats
 	System() *System
 }
 
-// RunCycleWith drives d through a full cycle against exec, which runs
-// one action at a quality and returns the actual cycles consumed. It
-// returns the realised schedule, assignment, total elapsed time and
-// whether any deadline was missed (checked against D_θ). This is the
-// one copy of the per-cycle accounting, shared by Controller.RunCycle
-// and the session layer.
+// RunCycleWith drives c through the rest of a cycle against exec, which
+// runs one action at a quality and returns the cycles the controller
+// must observe for it. Misses are checked against D_θ at each
+// decision's level index. This is the one copy of the per-cycle
+// decision loop, shared by Controller.RunCycle, the session layer and
+// the platform executor; it performs no heap allocation of its own.
 func RunCycleWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleResult, error) {
-	return runCycle(c, exec, false)
-}
-
-// RunCycleLeanWith is RunCycleWith minus the per-cycle snapshots:
-// Trace, Assignment and Schedule stay nil, so the serving loop itself
-// performs no heap allocation in steady state. The aggregate results
-// (Steps, Elapsed, Misses, Fallbacks, Stats) are identical, and
-// MeanLevel falls back to the controller statistics — exact per cycle
-// when the driver is Reset between cycles, cumulative otherwise.
-func RunCycleLeanWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleResult, error) {
-	return runCycle(c, exec, true)
-}
-
-// runCycle is the one copy of the per-cycle decision loop; lean skips
-// the Trace/Assignment/Schedule snapshots.
-func runCycle(c CycleDriver, exec func(ActionID, Level) Cycles, lean bool) (CycleResult, error) {
 	res := CycleResult{}
 	sys := c.System()
-	if !lean {
-		res.Trace = make([]StepTrace, 0, sys.Graph.Len()-c.Position())
-	}
 	for !c.Done() {
 		d, err := c.Next()
 		if err != nil {
@@ -666,18 +644,9 @@ func runCycle(c CycleDriver, exec func(ActionID, Level) Cycles, lean bool) (Cycl
 			res.Fallbacks++
 		}
 		res.Steps++
-		if !lean {
-			res.Trace = append(res.Trace, StepTrace{
-				Action: d.Action, Level: d.Level, LevelIndex: d.LevelIndex,
-				Actual: actual, Finish: c.Elapsed(),
-			})
-		}
+		res.LevelSum += int64(d.LevelIndex)
 	}
 	res.Elapsed = c.Elapsed()
-	if !lean {
-		res.Assignment = c.Assignment()
-		res.Schedule = c.Schedule()
-	}
 	res.Stats = c.Stats()
 	return res, nil
 }
@@ -687,50 +656,26 @@ func (c *Controller) RunCycle(exec func(ActionID, Level) Cycles) (CycleResult, e
 	return RunCycleWith(c, exec)
 }
 
-// StepTrace records one executed action. LevelIndex is the position of
-// Level in the system's ordered level set.
-type StepTrace struct {
-	Action     ActionID
-	Level      Level
-	LevelIndex int
-	Actual     Cycles
-	Finish     Cycles
-}
-
-// CycleResult summarises one controlled cycle. Schedule, Assignment
-// and Trace are nil on the lean path (RunCycleLeanWith); the scalar
-// fields are always populated.
+// CycleResult summarises the steps one RunCycleWith call executed.
 type CycleResult struct {
-	Schedule   []ActionID
-	Assignment Assignment
-	Trace      []StepTrace
-	// Steps is the number of actions executed this cycle — len(Trace)
-	// on the full path, and the only step count on the lean path.
-	Steps     int
+	Steps int // actions executed
+	// LevelSum is the sum of the executed actions' level indexes.
+	LevelSum  int64
 	Elapsed   Cycles
 	Misses    int
 	Fallbacks int
 	Stats     ControllerStats
 }
 
-// MeanLevel returns the mean chosen quality over the cycle, measured in
-// level *indexes* (0 = qmin). With non-contiguous level sets the raw
-// level values would overstate quality and disagree with the index
-// arithmetic of the controller's candidate loop; indexes keep the
-// average comparable across systems. Without a Trace (lean path) it is
-// derived from the controller statistics instead, which cover
-// everything since the driver's last Reset — identical per cycle when
-// the driver is Reset between cycles.
+// MeanLevel returns the mean chosen quality over the run's steps,
+// measured in level *indexes* (0 = qmin). With non-contiguous level
+// sets the raw level values would overstate quality and disagree with
+// the index arithmetic of the controller's candidate loop; indexes keep
+// the average comparable across systems. Decisions taken before the run
+// (manual Next/Completed calls) are not counted.
 func (r CycleResult) MeanLevel() float64 {
-	if len(r.Trace) == 0 {
-		if r.Stats.Decisions == 0 {
-			return 0
-		}
-		return float64(r.Stats.LevelSum) / float64(r.Stats.Decisions)
+	if r.Steps == 0 {
+		return 0
 	}
-	var s int64
-	for _, st := range r.Trace {
-		s += int64(st.LevelIndex)
-	}
-	return float64(s) / float64(len(r.Trace))
+	return float64(r.LevelSum) / float64(r.Steps)
 }

@@ -156,14 +156,14 @@ func TestControllerPicksHighQualityWhenFast(t *testing.T) {
 	sys := tinySystem(t)
 	c := mustController(t, sys)
 	// Actual times are tiny: the controller should hold level 1.
-	res, err := c.RunCycle(func(a ActionID, q Level) Cycles { return 1 })
+	res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+		if q != 1 {
+			t.Errorf("action %d at level %d, want 1 (budget is ample)", a, q)
+		}
+		return 1
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, st := range res.Trace {
-		if st.Level != 1 {
-			t.Errorf("action %d at level %d, want 1 (budget is ample)", st.Action, st.Level)
-		}
 	}
 	if res.Misses != 0 {
 		t.Errorf("misses = %d", res.Misses)
@@ -293,12 +293,12 @@ func TestSmoothnessBoundsUpwardJumps(t *testing.T) {
 	}
 	c := mustController(t, sys, WithMaxStep(1))
 	var seen []Level
-	res, err := c.RunCycle(func(ActionID, Level) Cycles { return 10 })
+	_, err = c.RunCycle(func(_ ActionID, q Level) Cycles {
+		seen = append(seen, q)
+		return 10
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, st := range res.Trace {
-		seen = append(seen, st.Level)
 	}
 	// First decision has no previous level: unbounded, takes 5. After
 	// that, +1 per step at most. With maxStep 1 the first is capped only
@@ -314,12 +314,11 @@ func TestWithScheduleFixedOrder(t *testing.T) {
 	sys := tinySystem(t)
 	order := []ActionID{0, 1}
 	c := mustController(t, sys, WithSchedule(order))
-	res, err := c.RunCycle(func(ActionID, Level) Cycles { return 1 })
-	if err != nil {
+	if _, err := c.RunCycle(func(ActionID, Level) Cycles { return 1 }); err != nil {
 		t.Fatal(err)
 	}
-	if res.Schedule[0] != 0 || res.Schedule[1] != 1 {
-		t.Fatalf("schedule = %v", res.Schedule)
+	if got := c.Schedule(); got[0] != 0 || got[1] != 1 {
+		t.Fatalf("schedule = %v", got)
 	}
 }
 
@@ -362,17 +361,21 @@ func TestRetarget(t *testing.T) {
 	if err := c.Retarget(d2); err != nil {
 		t.Fatalf("Retarget: %v", err)
 	}
-	res, err := c.RunCycle(func(a ActionID, q Level) Cycles { return sys.Cwc.At(q, a) })
+	// With a 45-cycle budget, level 1 (wc 50) must never be chosen.
+	var levels []Level
+	res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+		levels = append(levels, q)
+		return sys.Cwc.At(q, a)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Misses != 0 {
 		t.Fatalf("misses after retarget = %d", res.Misses)
 	}
-	// With a 45-cycle budget, level 1 (wc 50) must never be chosen.
-	for _, st := range res.Trace {
-		if st.Level != 0 {
-			t.Fatalf("level %d chosen under tight budget", st.Level)
+	for _, q := range levels {
+		if q != 0 {
+			t.Fatalf("level %d chosen under tight budget", q)
 		}
 	}
 	// Infeasible retarget is rejected.
@@ -432,7 +435,7 @@ func TestPropertyUtilisationBeatsQmin(t *testing.T) {
 		}
 		// Constant qmin run at average times.
 		var tQmin Cycles
-		for _, a := range res.Schedule {
+		for _, a := range c.Schedule() {
 			tQmin += sys.Cav.At(sys.QMin(), a)
 		}
 		return res.Elapsed >= tQmin

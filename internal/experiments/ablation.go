@@ -274,19 +274,17 @@ func Smoothness(nMB int, seed uint64) (*SmoothnessResult, error) {
 	}
 	rng := platformRNG(seed)
 	prev := core.Level(-1)
-	for !ctrl.Done() {
-		d, err := ctrl.Next()
-		if err != nil {
-			return nil, err
+	_, err = ctrl.RunCycle(func(a core.ActionID, q core.Level) core.Cycles {
+		if prev >= 0 && int(prev-q) > out.ObservedMaxDrop {
+			out.ObservedMaxDrop = int(prev - q)
 		}
-		if prev >= 0 && int(prev-d.Level) > out.ObservedMaxDrop {
-			out.ObservedMaxDrop = int(prev - d.Level)
-		}
-		prev = d.Level
-		av := fs.Sys.Cav.At(d.Level, d.Action)
-		wc := fs.Sys.Cwc.At(d.Level, d.Action)
-		actual := av.AddSat(core.Cycles(0.9 * rng.Float64() * float64(wc.SubSat(av))))
-		ctrl.Completed(actual)
+		prev = q
+		av := fs.Sys.Cav.At(q, a)
+		wc := fs.Sys.Cwc.At(q, a)
+		return av.AddSat(core.Cycles(0.9 * rng.Float64() * float64(wc.SubSat(av))))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

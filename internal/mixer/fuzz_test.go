@@ -51,7 +51,7 @@ func FuzzMixerLifecycle(f *testing.F) {
 			case 4:
 				if len(grants) > 0 {
 					// Cycle-boundary activity: renews the lease.
-					_ = grants[arg%len(grants)].CycleDelay()
+					_, _ = grants[arg%len(grants)].LeaseDelay()
 				}
 			case 5:
 				// Any positive finite total; shrinks below hard reserves

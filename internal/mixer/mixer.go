@@ -11,10 +11,12 @@
 // The mechanism that makes a share enforceable without rebuilding any
 // per-stream tables: a stream granted b of its nominal budget B starts
 // each cycle with its elapsed-time view advanced by B − b
-// (Controller.Preempt) — the cycles the other streams consume. Every
-// admissibility test the stream's Quality Manager performs then sees the
-// shrunk remaining time, so quality degrades (and hard deadlines stay
-// safe, by Proposition 2.1) exactly as if the cycle had started late.
+// (Controller.Preempt) — the cycles the other streams consume;
+// Grant.LeaseDelay is the one read of that handicap. Every
+// admissibility test the stream's Quality Manager performs then sees
+// the shrunk remaining time, so quality degrades (and hard deadlines
+// stay safe, by Proposition 2.1) exactly as if the cycle had started
+// late.
 //
 // # Degradation order
 //
@@ -35,9 +37,9 @@
 // # Leases
 //
 // SetLease arms liveness leasing: every cycle-boundary share read
-// (CycleDelay, LeaseDelay, Share) renews the grant's lease for free,
-// and each Rebalance advances the lease epoch and reaps grants that
-// completed no cycle within K epochs — a crashed or stalled stream's
+// (LeaseDelay, Share) renews the grant's lease for free, and each
+// Rebalance advances the lease epoch and reaps grants that completed
+// no cycle within K epochs — a crashed or stalled stream's
 // reservation returns to the pool instead of starving the fleet. A
 // revoked grant's next LeaseDelay reports ErrGrantRevoked, so the
 // stream's session fails fast at its next Reset.
@@ -154,7 +156,7 @@ type Budget struct {
 	// floors are sheddable, hard reserves are not).
 	hardCommitted core.Cycles
 	// dirty defers the share re-partition to the next read (Share,
-	// CycleDelay, Stats): admissions and releases stay O(1), so
+	// LeaseDelay, Stats): admissions and releases stay O(1), so
 	// admitting N streams in a burst costs O(N), not O(N²).
 	dirty bool
 	// scratch is repartition's working buffer (sort order in Greedy,
@@ -198,9 +200,9 @@ func (b *Budget) Total() core.Cycles {
 }
 
 // SetLease arms liveness leasing with a window of k epochs: a grant
-// that performs no cycle-boundary share read (CycleDelay, LeaseDelay,
-// Share) across more than k consecutive Rebalance calls is revoked by
-// the reaper and its reservation returned to the pool. k ≤ 0 disarms
+// that performs no cycle-boundary share read (LeaseDelay, Share)
+// across more than k consecutive Rebalance calls is revoked by the
+// reaper and its reservation returned to the pool. k ≤ 0 disarms
 // leasing. Existing grants start with a fresh lease.
 func (b *Budget) SetLease(k int) {
 	b.mu.Lock()
@@ -617,7 +619,7 @@ const (
 )
 
 // Grant is one admitted stream's handle on the shared budget. A Grant
-// is safe for concurrent use; the stream typically reads CycleDelay at
+// is safe for concurrent use; the stream typically reads LeaseDelay at
 // each cycle boundary (session.Runtime.AcquireBudgeted wires this up),
 // which doubles as the liveness-lease renewal when SetLease armed the
 // reaper.
@@ -642,12 +644,21 @@ func (g *Grant) Spec() StreamSpec {
 func (g *Grant) Share() core.Cycles {
 	g.b.mu.Lock()
 	defer g.b.mu.Unlock()
+	share, _ := g.renew()
+	return share
+}
+
+// renew is the one share read behind Share and LeaseDelay: it renews
+// the liveness lease, re-partitions pending changes and returns the
+// current share, or ok = false once the grant is released or revoked.
+// The caller holds b.mu.
+func (g *Grant) renew() (share core.Cycles, ok bool) {
 	if g.state != grantActive {
-		return 0
+		return 0, false
 	}
 	g.lastRenew = g.b.epoch
 	g.b.ensureShares()
-	return g.share
+	return g.share, true
 }
 
 // Revoked reports whether the reaper revoked this grant for liveness.
@@ -657,41 +668,23 @@ func (g *Grant) Revoked() bool {
 	return g.state == grantRevoked
 }
 
-// CycleDelay returns Nominal − Share: the elapsed-time handicap to
+// LeaseDelay returns Nominal − Share: the elapsed-time handicap to
 // charge the stream's controller at cycle start (see the package
-// comment). It implements session.BudgetSource and renews the liveness
-// lease. A released or revoked grant yields the full Nominal handicap
-// (the stream holds no share); use LeaseDelay to observe revocation as
-// an error.
-//
-//qos:hotpath
-func (g *Grant) CycleDelay() core.Cycles {
-	g.b.mu.Lock()
-	defer g.b.mu.Unlock()
-	if g.state != grantActive {
-		return g.spec.Nominal
-	}
-	g.lastRenew = g.b.epoch
-	g.b.ensureShares()
-	return g.spec.Nominal.SubSat(g.share)
-}
-
-// LeaseDelay is CycleDelay with liveness reporting, in the same single
-// lock acquisition: it renews the lease and returns the cycle handicap,
-// or ErrGrantRevoked once the grant was revoked (or released). It
-// implements session.LeasedBudgetSource, so a budgeted session fails
-// fast at its next Reset instead of serving on a reclaimed share.
+// comment), renewing the liveness lease in the same lock acquisition.
+// A released or revoked grant holds no share: it returns the full
+// Nominal handicap and ErrGrantRevoked. It implements
+// session.BudgetSource, so a budgeted session fails fast at its next
+// Reset instead of serving on a reclaimed share.
 //
 //qos:hotpath
 func (g *Grant) LeaseDelay() (core.Cycles, error) {
 	g.b.mu.Lock()
 	defer g.b.mu.Unlock()
-	if g.state != grantActive {
+	share, ok := g.renew()
+	if !ok {
 		return g.spec.Nominal, ErrGrantRevoked
 	}
-	g.lastRenew = g.b.epoch
-	g.b.ensureShares()
-	return g.spec.Nominal.SubSat(g.share), nil
+	return g.spec.Nominal.SubSat(share), nil
 }
 
 // SetWeight changes the stream's Weighted-policy bias; shares

@@ -69,8 +69,8 @@ func TestAdmissionLadder(t *testing.T) {
 		if g.Share() != 20 {
 			t.Errorf("stream %d share %v at capacity, want MinNeed 20", i, g.Share())
 		}
-		if g.CycleDelay() != 80 {
-			t.Errorf("stream %d delay %v, want 80", i, g.CycleDelay())
+		if d, err := g.LeaseDelay(); d != 80 || err != nil {
+			t.Errorf("stream %d delay %v (err %v), want 80", i, d, err)
 		}
 	}
 	// Releasing one stream returns its reservation: the survivors'
@@ -224,7 +224,7 @@ func TestConcurrentAdmitReleaseShare(t *testing.T) {
 					t.Errorf("share %v outside [MinNeed, Nominal]", s)
 				}
 				g.SetWeight(float64(w + 1))
-				_ = g.CycleDelay()
+				_, _ = g.LeaseDelay()
 				g.Release()
 			}
 		}(w)

@@ -28,8 +28,8 @@ func TestLeaseRenewAndRevoke(t *testing.T) {
 	// Cycle-boundary reads renew the lease: the grant survives any
 	// number of epochs while the stream keeps serving.
 	for i := 0; i < 10; i++ {
-		if g.CycleDelay() != 0 { // sole stream: full nominal share
-			t.Fatalf("epoch %d: delay %v, want 0", i, g.CycleDelay())
+		if d, err := g.LeaseDelay(); d != 0 || err != nil { // sole stream: full nominal share
+			t.Fatalf("epoch %d: delay %v (err %v), want 0", i, d, err)
 		}
 		b.Rebalance()
 	}
@@ -38,7 +38,7 @@ func TestLeaseRenewAndRevoke(t *testing.T) {
 	}
 	// Stop renewing: the grant survives exactly K missed epochs and is
 	// reaped at the next boundary.
-	_ = g.CycleDelay() // final renewal
+	_, _ = g.LeaseDelay() // final renewal
 	b.Rebalance()
 	b.Rebalance()
 	if g.Revoked() {
@@ -48,12 +48,14 @@ func TestLeaseRenewAndRevoke(t *testing.T) {
 	if !g.Revoked() {
 		t.Fatal("lease expired but grant not revoked")
 	}
-	// The revoked grant fails fast and holds no share.
-	if _, err := g.LeaseDelay(); !errors.Is(err, ErrGrantRevoked) {
+	// The revoked grant fails fast and holds no share: the full
+	// Nominal handicap with ErrGrantRevoked.
+	d, err := g.LeaseDelay()
+	if !errors.Is(err, ErrGrantRevoked) {
 		t.Fatalf("LeaseDelay after revoke: %v", err)
 	}
-	if g.Share() != 0 || g.CycleDelay() != 100 {
-		t.Fatalf("revoked grant kept share %v (delay %v)", g.Share(), g.CycleDelay())
+	if g.Share() != 0 || d != 100 {
+		t.Fatalf("revoked grant kept share %v (delay %v)", g.Share(), d)
 	}
 	// The reservation was reclaimed and the revocation counted.
 	st := b.Stats()

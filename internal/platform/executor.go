@@ -28,23 +28,12 @@ type Executor struct {
 	// DecisionOverhead is charged to the clock for every controller
 	// decision (quality-manager table lookups, bookkeeping).
 	DecisionOverhead core.Cycles
-	// RecordTrace enables per-action traces in reports (costs memory on
-	// long runs).
-	RecordTrace bool
 }
 
 // NewExecutor returns an executor on a fresh simulated clock with the
 // default decision overhead.
 func NewExecutor() *Executor {
 	return &Executor{Clock: NewSimClock(), DecisionOverhead: DefaultDecisionOverhead}
-}
-
-// Step is one executed action in a report trace.
-type Step struct {
-	Action core.ActionID
-	Level  core.Level
-	Cost   core.Cycles
-	Finish core.Cycles // relative to cycle start
 }
 
 // Report summarises one executed cycle (one frame, in the MPEG case).
@@ -56,7 +45,6 @@ type Report struct {
 	Misses     int
 	Fallbacks  int
 	LevelSum   int64 // sum of chosen level indexes (0 = qmin)
-	Trace      []Step
 }
 
 // MeanLevel returns the mean quality over the cycle in level indexes.
@@ -75,59 +63,40 @@ func (r Report) OverheadFraction() float64 {
 	return float64(r.CtrlCycles) / float64(r.Elapsed)
 }
 
-// Driver is the per-cycle decision loop the executor drives: the
-// controller-shaped subset of behaviour RunControlled needs.
-// *core.Controller implements it directly; session wrappers that add
-// observer hooks around a controller implement it too.
-type Driver interface {
-	Done() bool
-	Next() (core.Decision, error)
-	Completed(core.Cycles)
-	Elapsed() core.Cycles
-}
-
-var _ Driver = (*core.Controller)(nil)
-
-// RunControlled executes one full cycle driven by the controller: for
-// each step the controller picks (action, level), the workload consumes
-// cycles, and the controller observes the completion time. The
-// controller must be at the start of a cycle (fresh or Reset), and sys
-// must be the system it controls: misses are checked against sys's
-// deadlines at each decision's level index.
-func (e *Executor) RunControlled(ctrl Driver, w Workload, sys *core.System) (Report, error) {
+// RunControlled executes one full cycle driven by the controller (or a
+// session over one) through core.RunCycleWith: for each step the
+// controller picks (action, level), the clock pays the decision
+// overhead and the workload's cost, and the controller observes the
+// clock time since the previous completion. The controller must be at
+// the start of a cycle (fresh or Reset); misses are checked against its
+// own system's deadlines.
+func (e *Executor) RunControlled(ctrl core.CycleDriver, w Workload) (Report, error) {
 	rep := Report{}
 	start := e.Clock.Now()
-	for !ctrl.Done() {
-		d, err := ctrl.Next()
-		if err != nil {
-			return rep, fmt.Errorf("platform: controller: %w", err)
-		}
+	last := start
+	res, err := core.RunCycleWith(ctrl, func(a core.ActionID, q core.Level) core.Cycles {
 		// Decision cost is paid before the action runs, exactly as
 		// instrumented code would.
 		e.Clock.Advance(e.DecisionOverhead)
 		rep.CtrlCycles = rep.CtrlCycles.AddSat(e.DecisionOverhead)
-
-		cost := w.Cost(d.Action, d.Level)
+		cost := w.Cost(a, q)
 		e.Clock.Advance(cost)
 		rep.WorkCycles = rep.WorkCycles.AddSat(cost)
-		rep.Actions++
-		rep.LevelSum += int64(d.LevelIndex)
-		if d.Fallback {
-			rep.Fallbacks++
-		}
-
-		elapsed := e.Clock.Now().SubSat(start)
-		// The controller's view of time includes its own overhead: it
-		// reads the cycle register, it does not introspect.
-		ctrl.Completed(elapsed.SubSat(ctrl.Elapsed()))
-
-		if dl := sys.D.AtIndex(d.LevelIndex)[d.Action]; !dl.IsInf() && elapsed > dl {
-			rep.Misses++
-		}
-		if e.RecordTrace {
-			rep.Trace = append(rep.Trace, Step{Action: d.Action, Level: d.Level, Cost: cost, Finish: elapsed})
-		}
+		// The controller's view of time includes its own overhead (and,
+		// on a wall clock, the time it spent deciding): it reads the
+		// cycle register, it does not introspect.
+		now := e.Clock.Now()
+		dt := now.SubSat(last)
+		last = now
+		return dt
+	})
+	if err != nil {
+		return rep, fmt.Errorf("platform: controller: %w", err)
 	}
+	rep.Actions = res.Steps
+	rep.LevelSum = res.LevelSum
+	rep.Misses = res.Misses
+	rep.Fallbacks = res.Fallbacks
 	rep.Elapsed = e.Clock.Now().SubSat(start)
 	return rep, nil
 }
@@ -154,9 +123,6 @@ func (e *Executor) RunConstant(sys *core.System, q core.Level, w Workload) Repor
 		elapsed := e.Clock.Now().SubSat(start)
 		if !d[a].IsInf() && elapsed > d[a] {
 			rep.Misses++
-		}
-		if e.RecordTrace {
-			rep.Trace = append(rep.Trace, Step{Action: a, Level: q, Cost: cost, Finish: elapsed})
 		}
 	}
 	rep.Elapsed = e.Clock.Now().SubSat(start)

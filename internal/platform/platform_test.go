@@ -155,10 +155,9 @@ func TestExecutorRunControlled(t *testing.T) {
 	}
 	e := NewExecutor()
 	e.DecisionOverhead = 5
-	e.RecordTrace = true
 	rep, err := e.RunControlled(ctrl, WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles {
 		return 10
-	}), sys)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +176,49 @@ func TestExecutorRunControlled(t *testing.T) {
 	if got := rep.OverheadFraction(); got < 0.3 || got > 0.4 {
 		t.Errorf("overhead fraction = %v, want 1/3", got)
 	}
-	if len(rep.Trace) != 2 {
-		t.Errorf("trace length = %d", len(rep.Trace))
+	if ctrl.Elapsed() != rep.Elapsed {
+		t.Errorf("controller elapsed = %v, want the clock's %v", ctrl.Elapsed(), rep.Elapsed)
 	}
 	// Ample budget: the controller should hold the top level.
 	if rep.MeanLevel() != 1 {
 		t.Errorf("mean level = %v, want 1", rep.MeanLevel())
+	}
+}
+
+// tickingClock is a SimClock on which every read costs tick cycles,
+// like a wall clock that keeps running while the controller decides.
+type tickingClock struct {
+	SimClock
+	tick core.Cycles
+}
+
+func (c *tickingClock) Now() core.Cycles {
+	c.Advance(c.tick)
+	return c.SimClock.Now()
+}
+
+// TestExecutorChargesTimeBetweenActions: the controller observes the
+// clock, not the sum of overhead and cost, so time that passes outside
+// the actions (its own decisions, on a wall clock) is charged to it.
+func TestExecutorChargesTimeBetweenActions(t *testing.T) {
+	sys := twoActionSystem(t)
+	ctrl, err := core.NewController(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Executor{Clock: &tickingClock{tick: 7}, DecisionOverhead: 5}
+	rep, err := e.RunControlled(ctrl, WorkloadFunc(func(core.ActionID, core.Level) core.Cycles {
+		return 10
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each action: 5 overhead + 10 work + one 7-cycle read.
+	if got := ctrl.Elapsed(); got != 44 {
+		t.Errorf("controller elapsed = %v, want 44", got)
+	}
+	if rep.WorkCycles != 20 || rep.CtrlCycles != 10 {
+		t.Errorf("work=%v ctrl=%v", rep.WorkCycles, rep.CtrlCycles)
 	}
 }
 

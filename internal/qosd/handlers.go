@@ -107,7 +107,7 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// register binds a grant to a fresh lean session and enters it in the
+// register binds a grant to a fresh session and enters it in the
 // stream registry.
 func (d *Daemon) register(m *model, g *mixer.Grant) *stream {
 	st := &stream{id: d.nextID.Add(1), m: m, grant: g}
@@ -116,7 +116,6 @@ func (d *Daemon) register(m *model, g *mixer.Grant) *stream {
 			st.levels = append(st.levels, dec.LevelIndex)
 		},
 	})
-	st.sess.SetLean(true)
 	d.mu.Lock()
 	d.streams[st.id] = st
 	d.mu.Unlock()

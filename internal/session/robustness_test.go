@@ -9,14 +9,13 @@ import (
 	"repro/internal/core"
 )
 
-// fakeLease is a LeasedBudgetSource whose revocation the test flips.
+// fakeLease is a BudgetSource whose revocation the test flips.
 type fakeLease struct {
 	delay    core.Cycles
 	err      error
 	released int
 }
 
-func (f *fakeLease) CycleDelay() core.Cycles { return f.delay }
 func (f *fakeLease) LeaseDelay() (core.Cycles, error) {
 	if f.err != nil {
 		return f.delay, f.err
@@ -155,20 +154,33 @@ func TestLeasedSourceFailsFastOnRevocation(t *testing.T) {
 	rt.Release(s)
 }
 
-// TestCycleDelayStillWorksForPlainSources pins the compatibility path:
-// a BudgetSource without LeaseDelay keeps the pre-lease behaviour.
-func TestCycleDelayStillWorksForPlainSources(t *testing.T) {
+// TestCustomBudgetSource: a BudgetSource other than a mixer grant has
+// its handicap applied at every cycle boundary, and a source that
+// returns no error never ends the session.
+func TestCustomBudgetSource(t *testing.T) {
 	sys := demoSystem(t)
 	rt, err := NewRuntime(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rt.AcquireBudgeted(&fixedDelay{d: 10})
+	src := &fixedDelay{d: 10}
+	s := rt.AcquireBudgeted(src)
 	defer rt.Release(s)
-	if got := s.Elapsed(); got != 10 {
-		t.Fatalf("plain BudgetSource handicap not applied: elapsed %v", got)
-	}
-	if s.Err() != nil {
-		t.Fatalf("plain source produced terminal error %v", s.Err())
+	for cycle, d := range []core.Cycles{10, 0, 25} {
+		if cycle > 0 {
+			src.set(d)
+			s.Reset()
+		}
+		if got := s.Elapsed(); got != d {
+			t.Fatalf("cycle %d: custom BudgetSource handicap not applied: elapsed %v, want %v", cycle, got, d)
+		}
+		if _, err := s.RunFunc(func(a core.ActionID, q core.Level) core.Cycles {
+			return sys.Cav.At(q, a)
+		}); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if s.Err() != nil {
+			t.Fatalf("cycle %d: custom source produced terminal error %v", cycle, s.Err())
+		}
 	}
 }

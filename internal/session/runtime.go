@@ -58,20 +58,13 @@ func (r *Runtime) System() *core.System { return r.prog.System() }
 
 // BudgetSource yields the elapsed-time handicap a budgeted stream must
 // charge its controller at every cycle start — the CPU cycles the other
-// streams sharing the budget consume per period. mixer.Grant implements
-// it; so does any fixed or adaptive share scheme.
+// streams sharing the budget consume per period — or an error once the
+// stream's share is gone (a mixer.Grant revoked for liveness). A
+// budgeted session reads it at every cycle boundary and fails fast on
+// an error instead of serving on a reclaimed share. mixer.Grant
+// implements it; so does any fixed or adaptive share scheme, which
+// simply never returns an error.
 type BudgetSource interface {
-	CycleDelay() core.Cycles
-}
-
-// LeasedBudgetSource is a BudgetSource whose share can be revoked out
-// from under the stream — a leased mixer.Grant reaped for liveness.
-// LeaseDelay returns the same handicap as CycleDelay (and renews the
-// liveness lease), or an error once the grant is gone; a budgeted
-// session consults it at every cycle boundary and fails fast on
-// revocation instead of serving on a reclaimed share.
-type LeasedBudgetSource interface {
-	BudgetSource
 	LeaseDelay() (core.Cycles, error)
 }
 
@@ -98,7 +91,7 @@ func (r *Runtime) Acquire(obs ...Observer) *Session {
 
 // AcquireBudgeted hands out a Session whose cycles run under a shared
 // budget share: at every cycle boundary (including this acquire) the
-// session charges src.CycleDelay() to its controller, so admissibility
+// session charges src.LeaseDelay() to its controller, so admissibility
 // sees only the stream's share of the period. Typical use is an
 // admitted mixer.Grant:
 //
@@ -108,10 +101,6 @@ func (r *Runtime) Acquire(obs ...Observer) *Session {
 func (r *Runtime) AcquireBudgeted(src BudgetSource, obs ...Observer) *Session {
 	s := r.Acquire(obs...)
 	s.budget = src
-	// Pay the leased-source type assertion once here, not per cycle.
-	if l, ok := src.(LeasedBudgetSource); ok {
-		s.leased = l
-	}
 	s.applyBudget()
 	return s
 }
@@ -129,7 +118,6 @@ func (r *Runtime) Release(s *Session) {
 	ctrl := s.ctrl
 	s.ctrl = nil
 	s.budget = nil
-	s.leased = nil
 	r.active.Add(-1)
 	// A Retarget would have forked the controller off the shared
 	// program, a ShiftDeadlines leaves a private time base behind, and

@@ -20,7 +20,7 @@ func TestRuntimeServesOneStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Misses != 0 || len(res.Trace) != 3 {
+	if res.Misses != 0 || res.Steps != 3 {
 		t.Fatalf("run: %+v", res)
 	}
 	st := rt.Stats()
@@ -223,16 +223,17 @@ func TestRuntimeSoftMode(t *testing.T) {
 	}
 }
 
-// fixedDelay is a BudgetSource test double with a settable handicap.
+// fixedDelay is a custom (non-mixer) BudgetSource with a settable
+// handicap; it never reports revocation.
 type fixedDelay struct {
 	mu sync.Mutex
 	d  core.Cycles
 }
 
-func (f *fixedDelay) CycleDelay() core.Cycles {
+func (f *fixedDelay) LeaseDelay() (core.Cycles, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.d
+	return f.d, nil
 }
 
 func (f *fixedDelay) set(d core.Cycles) {

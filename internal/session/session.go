@@ -129,24 +129,14 @@ type Session struct {
 	hasPending bool
 
 	// budget, when non-nil, charges the stream's shared-budget handicap
-	// (CycleDelay) to the controller at every cycle start — see
-	// Runtime.AcquireBudgeted.
+	// (LeaseDelay) to the controller at every cycle start — see
+	// Runtime.AcquireBudgeted. A revoked grant fails the session fast
+	// instead of serving on a reclaimed share.
 	budget BudgetSource
-	// leased caches the LeasedBudgetSource view of budget (type
-	// assertion paid once at AcquireBudgeted, not per cycle): when
-	// non-nil, every cycle start goes through LeaseDelay so a revoked
-	// grant fails the session fast instead of serving on a reclaimed
-	// share.
-	leased LeasedBudgetSource
 	// termErr latches the session's terminal error — a revoked lease
 	// (surfaced at Reset) or a workload panic. Once set, Next and Run
 	// refuse to serve; Err exposes it.
 	termErr error
-
-	// lean makes Run skip the per-cycle Trace/Assignment/Schedule
-	// snapshots (core.RunCycleLeanWith) so steady-state serving
-	// allocates nothing per cycle.
-	lean bool
 
 	// owner is the Runtime this session was acquired from (nil for
 	// stand-alone sessions). It is atomic so Runtime.Release can
@@ -199,17 +189,11 @@ func (s *Session) Position() int { return s.ctrl.Position() }
 // Stats returns the controller statistics since the last Reset.
 func (s *Session) Stats() core.ControllerStats { return s.ctrl.Stats() }
 
-// Schedule returns the schedule computed so far.
-func (s *Session) Schedule() []core.ActionID { return s.ctrl.Schedule() }
-
-// Assignment returns the current quality assignment.
-func (s *Session) Assignment() core.Assignment { return s.ctrl.Assignment() }
-
 // Reset prepares the session for a new cycle over the same stream. A
 // budgeted session (Runtime.AcquireBudgeted) re-reads its shared-budget
 // share here: the cycle opens with the other streams' CPU time already
-// charged. If the share came from a leased source whose grant was
-// revoked, Reset fails fast: Err reports the revocation and the next
+// charged. If the source reports that its grant was revoked, Reset
+// fails fast: Err reports the revocation and the next
 // Next/Run returns it instead of serving on a reclaimed share. A
 // terminal session (revoked or panicked) stays terminal; Reset is then
 // a no-op.
@@ -227,21 +211,18 @@ func (s *Session) Reset() {
 func (s *Session) Err() error { return s.termErr }
 
 // applyBudget charges the stream's current shared-budget handicap to
-// the controller at a cycle boundary. A leased source that reports
-// revocation terminates the session instead.
+// the controller at a cycle boundary. A source that reports an error
+// (a revoked grant) terminates the session instead.
 func (s *Session) applyBudget() {
-	if s.leased != nil {
-		dt, err := s.leased.LeaseDelay()
-		if err != nil {
-			s.termErr = err
-			return
-		}
-		s.ctrl.Preempt(dt)
+	if s.budget == nil {
 		return
 	}
-	if s.budget != nil {
-		s.ctrl.Preempt(s.budget.CycleDelay())
+	dt, err := s.budget.LeaseDelay()
+	if err != nil {
+		s.termErr = err
+		return
 	}
+	s.ctrl.Preempt(dt)
 }
 
 // Preempt charges dt cycles of external CPU time (other streams,
@@ -287,12 +268,10 @@ func (s *Session) Completed(actual core.Cycles) {
 	}
 }
 
-// SetLean toggles lean serving: a lean Run skips the per-cycle
-// Schedule, Assignment and Trace snapshots (they stay nil in the
-// CycleResult) so the steady-state serving loop performs zero heap
-// allocations per cycle. Scalar results — Steps, Elapsed, Misses,
-// Fallbacks, Stats, MeanLevel — are unaffected. Observers still fire.
-func (s *Session) SetLean(lean bool) { s.lean = lean }
+// SetLean does nothing: every Run is lean — the decision loop takes no
+// per-cycle snapshots and allocates nothing in steady state. It is
+// kept only so existing callers still compile.
+func (s *Session) SetLean(bool) {}
 
 // Run drives one full cycle against the workload: for each step the
 // controller picks (action, level), the workload returns the consumed
@@ -315,11 +294,7 @@ func (s *Session) Run(w platform.Workload) (res core.CycleResult, err error) {
 			err = s.quarantine(cause)
 		}
 	}()
-	if s.lean {
-		res, err = core.RunCycleLeanWith(s, w.Cost)
-	} else {
-		res, err = core.RunCycleWith(s, w.Cost)
-	}
+	res, err = core.RunCycleWith(s, w.Cost)
 	if err != nil {
 		return res, err
 	}

@@ -34,7 +34,7 @@ func TestSessionRunCountsAndHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Misses != 0 || len(res.Trace) != 3 {
+	if res.Misses != 0 || res.Steps != 3 {
 		t.Fatalf("run: %+v", res)
 	}
 	if decisions != 3 || completions != 3 || fallbacks != 0 {
@@ -52,53 +52,95 @@ func TestSessionRunCountsAndHooks(t *testing.T) {
 	}
 }
 
-// TestSessionLeanRun: a lean Run matches the full Run on every scalar
-// result, skips the snapshots, and allocates nothing per cycle in
-// steady state.
+// TestSessionLeanRun: a default Run allocates nothing per cycle in
+// steady state, and its Steps, Elapsed, Misses and MeanLevel match the
+// same cycle driven by hand on a controller over the system. The
+// workload runs every action at twice its worst case, so the cycle
+// misses deadlines and has misses to count.
 func TestSessionLeanRun(t *testing.T) {
 	sys := demoSystem(t)
 	work := func(a core.ActionID, q core.Level) core.Cycles {
-		return sys.Cav.At(q, a)
+		return 2 * sys.Cwc.At(q, a)
 	}
-	full, err := NewSession(sys)
+	ctrl, err := core.NewController(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := full.RunFunc(work)
+	var steps, misses int
+	var levelSum int64
+	for !ctrl.Done() {
+		d, err := ctrl.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl.Completed(work(d.Action, d.Level))
+		if dl := sys.D.AtIndex(d.LevelIndex)[d.Action]; !dl.IsInf() && ctrl.Elapsed() > dl {
+			misses++
+		}
+		steps++
+		levelSum += int64(d.LevelIndex)
+	}
+	if misses == 0 {
+		t.Fatal("reference cycle missed no deadline; the workload must break the contract")
+	}
+	s, err := NewSession(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := NewSession(sys)
+	res, err := s.RunFunc(work)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean.SetLean(true)
-	lres, err := lean.RunFunc(work)
-	if err != nil {
-		t.Fatal(err)
+	if res.Steps != steps || res.Elapsed != ctrl.Elapsed() || res.Misses != misses {
+		t.Fatalf("run %+v, want steps=%d elapsed=%v misses=%d", res, steps, ctrl.Elapsed(), misses)
 	}
-	if lres.Trace != nil || lres.Schedule != nil || lres.Assignment != nil {
-		t.Fatalf("lean run kept snapshots: %+v", lres)
-	}
-	if lres.Steps != fres.Steps || lres.Elapsed != fres.Elapsed ||
-		lres.Misses != fres.Misses || lres.Fallbacks != fres.Fallbacks ||
-		lres.Stats != fres.Stats {
-		t.Fatalf("lean scalars diverge:\nlean %+v\nfull %+v", lres, fres)
-	}
-	if lm, fm := lres.MeanLevel(), fres.MeanLevel(); lm != fm {
-		t.Fatalf("lean MeanLevel %v != full %v", lm, fm)
-	}
-	if fres.Steps != len(fres.Trace) {
-		t.Fatalf("Steps %d != len(Trace) %d", fres.Steps, len(fres.Trace))
+	if got, want := res.MeanLevel(), float64(levelSum)/float64(steps); got != want {
+		t.Fatalf("MeanLevel %v, want %v", got, want)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		lean.Reset()
-		if _, err := lean.RunFunc(work); err != nil {
+		s.Reset()
+		if _, err := s.RunFunc(work); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("lean steady-state cycle allocates %v times, want 0", allocs)
+		t.Fatalf("steady-state cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSessionRunMeanLevelCoversOnlyRun: a decision taken by hand
+// before Run (one manual Next/Completed) is not part of Run's steps,
+// so it must not enter Run's MeanLevel either. The manual step runs at
+// the top level and completes late enough that Run's steps average
+// lower, so counting it would show.
+func TestSessionRunMeanLevelCoversOnlyRun(t *testing.T) {
+	sys := demoSystem(t)
+	s, err := NewSession(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Completed(50)
+	var sum int
+	res, err := s.RunFunc(func(a core.ActionID, q core.Level) core.Cycles {
+		sum += sys.Levels.Index(q)
+		return sys.Cav.At(q, a)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 2 {
+		t.Fatalf("Run executed %d steps, want the 2 left after the manual one", res.Steps)
+	}
+	want := float64(sum) / 2
+	if float64(d.LevelIndex) == want {
+		t.Fatalf("manual step at index %d does not tell the two means apart", d.LevelIndex)
+	}
+	if got := res.MeanLevel(); got != want {
+		t.Fatalf("MeanLevel %v, want %v over Run's steps only", got, want)
 	}
 }
 

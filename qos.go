@@ -58,7 +58,10 @@
 //
 // Observer hooks (on-decision, on-fallback, on-completion) attach to
 // sessions for tracing, profiling (Recorder) and online learning of
-// average execution times (EWMA).
+// average execution times (EWMA). A CycleResult carries only the run's
+// totals (steps, elapsed time, misses, fallbacks, mean level); per-action
+// detail comes from an Observer or from the workload function itself,
+// so a Run allocates nothing per cycle.
 //
 // The subpackages used by the benchmark harness (the MPEG-4 encoder
 // model, the synthetic video source, the camera/buffer pipeline) are
@@ -100,8 +103,6 @@ type (
 	Decision = core.Decision
 	// CycleResult summarises a controlled cycle.
 	CycleResult = core.CycleResult
-	// StepTrace records one executed action of a cycle.
-	StepTrace = core.StepTrace
 	// ControllerStats accumulates per-cycle controller behaviour.
 	ControllerStats = core.ControllerStats
 	// Mode selects hard or soft constraint enforcement.
@@ -186,7 +187,8 @@ var (
 // budget per period: admission reserves each stream's worst-case qmin
 // need, the slack is re-partitioned between streams at cycle boundaries
 // under a policy, and Runtime.AcquireBudgeted charges each stream its
-// handicap at every cycle start.
+// handicap at every cycle start, read once through
+// BudgetSource.LeaseDelay.
 type (
 	// SharedBudget is the goroutine-safe global budget controller.
 	SharedBudget = mixer.Budget
@@ -199,14 +201,11 @@ type (
 	SharePolicy = mixer.Policy
 	// SharedBudgetStats is a snapshot of a SharedBudget.
 	SharedBudgetStats = mixer.Stats
-	// BudgetSource yields a budgeted session's per-cycle handicap;
-	// StreamGrant implements it.
+	// BudgetSource yields a budgeted session's per-cycle handicap, or
+	// an error once the share is revoked (lease expiry, SetTotal
+	// shrink); StreamGrant implements it and budgeted sessions fail
+	// fast on revocation at the next Reset.
 	BudgetSource = session.BudgetSource
-	// LeasedBudgetSource is a BudgetSource whose share can be revoked
-	// out from under the stream (lease expiry, SetTotal shrink);
-	// StreamGrant implements it and budgeted sessions fail fast on
-	// revocation at the next Reset.
-	LeasedBudgetSource = session.LeasedBudgetSource
 )
 
 // Share policies.

@@ -78,7 +78,7 @@ func TestPublicAPIExecutor(t *testing.T) {
 	ex.DecisionOverhead = 0
 	rep, err := ex.RunControlled(ctrl, qos.WorkloadFunc(func(a qos.ActionID, q qos.Level) qos.Cycles {
 		return sys.Cav.At(q, a)
-	}), sys)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
