@@ -104,7 +104,15 @@ func realMain(ctx context.Context, argv []string, stdout, stderr io.Writer) int 
 	d.StartReaper()
 	defer d.Drain() // stops and joins the reaper even on the error paths
 
-	srv := &http.Server{Handler: d.Handler()}
+	// A client must send its headers within ReadHeaderTimeout, and an
+	// idle keep-alive connection is closed after IdleTimeout, so slow
+	// or silent peers cannot pin connections; bodies are bounded by
+	// the daemon itself.
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

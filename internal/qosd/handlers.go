@@ -1,6 +1,7 @@
 package qosd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,8 +50,8 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusServiceUnavailable, "draining", 0)
 	}
 	var req api.AdmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if code := d.decodeBody(w, r, &req); code != 0 {
+		return code
 	}
 	m, err := d.lookup(req.Model)
 	if err != nil {
@@ -107,6 +108,20 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, resp)
 }
 
+// decodeBody reads the bounded body and decodes its first JSON value
+// into v, answering a failure itself (non-zero code).
+func (d *Daemon) decodeBody(w http.ResponseWriter, r *http.Request, v any) int {
+	buf, code := d.readBody(w, r)
+	if code != 0 {
+		return code
+	}
+	defer bufPool.Put(buf)
+	if err := json.NewDecoder(buf).Decode(v); err != nil {
+		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	}
+	return 0
+}
+
 // register binds a grant to a fresh session and enters it in the
 // stream registry.
 func (d *Daemon) register(m *model, g *mixer.Grant) *stream {
@@ -129,8 +144,8 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
 	}
 	var req api.ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if code := d.decodeBody(w, r, &req); code != 0 {
+		return code
 	}
 	d.mu.Lock()
 	st, ok := d.streams[req.Stream]
@@ -150,7 +165,10 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) int {
 
 // handleDecide serves a batch of control cycles. Items are independent:
 // each carries its own status code, so one revoked or unknown stream
-// does not fail its batch siblings.
+// does not fail its batch siblings. The body is decoded and the reply
+// encoded by the api codec directly; a body the codec's fast path
+// declines is decoded again by json.Decoder, so errors and trailing
+// data are treated exactly as on every other endpoint.
 func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
@@ -158,23 +176,44 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	if d.draining.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "draining", 0)
 	}
+	buf, code := d.readBody(w, r)
+	if code != 0 {
+		return code
+	}
+	defer bufPool.Put(buf)
 	var req api.DecideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if req.UnmarshalJSON(buf.Bytes()) != nil {
+		req = api.DecideRequest{}
+		if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req); err != nil {
+			return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+		}
 	}
 	if len(req.Items) > d.cfg.MaxBatch {
 		return writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("at most %d items per batch", d.cfg.MaxBatch), 0)
 	}
 	resp := api.DecideResponse{Results: make([]api.DecideResult, len(req.Items))}
+	// One slab holds every item's levels; each item takes its own
+	// capped piece.
+	slab := make([]int, len(req.Items)*d.maxActions)
 	for i := range req.Items {
-		resp.Results[i] = d.decideOne(&req.Items[i])
+		resp.Results[i], slab = d.decideOne(&req.Items[i], slab)
 	}
-	return writeJSON(w, http.StatusOK, resp)
+	// The request no longer refers to the body, so its buffer takes
+	// the reply.
+	out, err := resp.AppendJSON(buf.Bytes()[:0])
+	if err != nil {
+		return writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error(), 0)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(out, '\n'))
+	return http.StatusOK
 }
 
-// decideOne runs one stream through one controlled cycle.
-func (d *Daemon) decideOne(item *api.DecideItem) api.DecideResult {
+// decideOne runs one stream through one controlled cycle, taking its
+// levels from the front of slab and returning the rest of it.
+func (d *Daemon) decideOne(item *api.DecideItem, slab []int) (api.DecideResult, []int) {
 	out := api.DecideResult{Stream: item.Stream}
 	d.mu.Lock()
 	st, ok := d.streams[item.Stream]
@@ -182,11 +221,11 @@ func (d *Daemon) decideOne(item *api.DecideItem) api.DecideResult {
 	if !ok {
 		out.Code = api.DecideUnknown
 		out.Error = "unknown stream"
-		return out
+		return out, slab
 	}
 
 	st.mu.Lock()
-	revoked := st.runCycle(item, &out)
+	revoked := st.runCycle(item, &out, slab)
 	if revoked {
 		d.teardownLocked(st)
 	}
@@ -198,13 +237,14 @@ func (d *Daemon) decideOne(item *api.DecideItem) api.DecideResult {
 		delete(d.streams, st.id)
 		d.mu.Unlock()
 	}
-	return out
+	return out, slab[len(out.Levels):]
 }
 
-// runCycle executes one cycle under st.mu, filling out. It reports
-// whether the stream's lease was revoked (caller tears down and drops
-// the registry entry).
-func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
+// runCycle executes one cycle under st.mu, filling out; the levels go
+// to the front of slab, which has room for the whole schedule. It
+// reports whether the stream's lease was revoked (caller tears down
+// and drops the registry entry).
+func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult, slab []int) bool {
 	if st.gone {
 		out.Code = api.DecideUnknown
 		out.Error = "stream released"
@@ -234,8 +274,11 @@ func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
 		return true
 	}
 
-	st.levels = st.levels[:0]
-	res, err := st.sess.RunFunc(st.workload(item))
+	st.levels = slab[:0:st.m.nActions]
+	st.costs, st.load = item.Costs, min(max(item.Load, 0), 1)
+	res, err := st.sess.Run(st)
+	levels := st.levels
+	st.levels, st.costs = nil, nil
 	if err != nil {
 		if errors.Is(err, mixer.ErrGrantRevoked) {
 			out.Code = api.DecideRevoked
@@ -254,7 +297,7 @@ func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
 	st.m.ctrl.candidateEval.Add(int64(res.Stats.CandidateEval))
 
 	out.Code = api.DecideOK
-	out.Levels = append([]int(nil), st.levels...)
+	out.Levels = levels
 	out.Elapsed = int64(res.Elapsed)
 	out.Misses = res.Misses
 	out.Fallbacks = res.Fallbacks
@@ -262,34 +305,18 @@ func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
 	return false
 }
 
-// workload builds the cycle's execution-time function. Explicit Costs
-// are charged verbatim (indexed by schedule action ID); otherwise each
-// action costs its per-level average shifted Load of the way toward the
-// worst case, clamped into [0, 1] so the synthetic cost always respects
-// the execution contract.
-func (st *stream) workload(item *api.DecideItem) func(core.ActionID, core.Level) core.Cycles {
-	if len(item.Costs) > 0 {
-		costs := item.Costs
-		return func(a core.ActionID, _ core.Level) core.Cycles {
-			return core.Cycles(costs[a])
-		}
+// Cost is the running item's execution time for action a: its Costs
+// entry (indexed by schedule action ID) when it has Costs, otherwise
+// the action's average time shifted Load of the way toward the worst
+// case, with Load clamped into [0, 1] so the synthetic cost always
+// respects the execution contract. The level index comes from the
+// observer, which has just recorded this action's decision.
+func (st *stream) Cost(a core.ActionID, _ core.Level) core.Cycles {
+	if len(st.costs) > 0 {
+		return core.Cycles(st.costs[a])
 	}
-	f := item.Load
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	sys := st.m.rt.System()
-	return func(a core.ActionID, q core.Level) core.Cycles {
-		av := sys.Cav.At(q, a)
-		wc := sys.Cwc.At(q, a)
-		if wc.IsInf() {
-			return av
-		}
-		return av.AddSat(core.Cycles(f * float64(wc.SubSat(av))))
-	}
+	c := st.m.loads[st.levels[len(st.levels)-1]*st.m.nActions+int(a)]
+	return c.av.AddSat(core.Cycles(st.load * float64(c.span)))
 }
 
 // handleCapacity reports every model's admission headroom (or one

@@ -22,6 +22,7 @@
 package qosd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,8 +76,14 @@ type model struct {
 	budget   *mixer.Budget
 	spec     mixer.StreamSpec
 	nActions int
-	ctrl     ctrlStats
+	// loads is the synthetic-cost table, nActions entries per level
+	// index: each action's average time and its distance to the worst
+	// case (0 where the worst case is infinite).
+	loads []loadCost
+	ctrl  ctrlStats
 }
+
+type loadCost struct{ av, span core.Cycles }
 
 // stream is one admitted remote stream. Its mutex serializes decides
 // (the session is single-threaded); the daemon's registry lock is never
@@ -87,11 +94,17 @@ type stream struct {
 	id uint64
 	m  *model
 
-	mu     sync.Mutex
-	sess   *session.Session
-	grant  *mixer.Grant
-	levels []int // reusable per-decide level buffer, filled by the observer
-	gone   bool  // released or revoked; the registry entry may lag
+	mu    sync.Mutex
+	sess  *session.Session
+	grant *mixer.Grant
+	// levels receives the level index of each decision of the running
+	// cycle, from the session observer; it points into the decide
+	// batch's levels slab only while the cycle runs.
+	levels []int
+	// costs and load are the running item's workload (see Cost).
+	costs []int64
+	load  float64
+	gone  bool // released or revoked; the registry entry may lag
 }
 
 // Daemon is the qosd server core. Build one with New, mount Handler on
@@ -102,6 +115,10 @@ type Daemon struct {
 	cfg    Config
 	models map[string]*model
 	order  []string // deterministic iteration for /metrics and /v1/capacity
+	// maxActions is the longest schedule of any served model, and
+	// maxBody the byte limit on every POST body (see maxBodyBytes).
+	maxActions int
+	maxBody    int64
 
 	mu      sync.Mutex
 	streams map[uint64]*stream
@@ -178,9 +195,23 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.models[mf.Name] = m
 		d.order = append(d.order, mf.Name)
+		d.maxActions = max(d.maxActions, m.nActions)
 	}
 	sort.Strings(d.order)
+	d.maxBody = maxBodyBytes(cfg.MaxBatch, d.maxActions)
 	return d, nil
+}
+
+// maxBodyBytes bounds a POST body: the largest decide batch a client
+// can need is maxBatch items, each with a full costs vector of
+// maxActions int64s. Anything longer is refused before it is decoded.
+func maxBodyBytes(maxBatch, maxActions int) int64 {
+	const (
+		envelope = 4 << 10 // {"items":[...]} and room for whitespace
+		perItem  = 128     // {"stream":…,"costs":[],"load":…},
+		perCost  = 21      // -9223372036854775808,
+	)
+	return envelope + int64(maxBatch)*(perItem+perCost*int64(maxActions))
 }
 
 func loadModel(mf ModelFile, cfg Config) (*model, error) {
@@ -211,13 +242,27 @@ func loadModel(mf ModelFile, cfg Config) (*model, error) {
 	if cfg.LeaseEpochs > 0 {
 		budget.SetLease(cfg.LeaseEpochs)
 	}
+	n := len(rt.Program().Schedule())
+	rsys := rt.System()
+	loads := make([]loadCost, 0, len(rsys.Levels)*n)
+	for i := range rsys.Levels {
+		for a := 0; a < n; a++ {
+			av, wc := rsys.Cav.AtIndex(i)[a], rsys.Cwc.AtIndex(i)[a]
+			c := loadCost{av: av}
+			if !wc.IsInf() {
+				c.span = wc.SubSat(av)
+			}
+			loads = append(loads, c)
+		}
+	}
 	return &model{
 		name:     mf.Name,
 		path:     mf.Path,
 		rt:       rt,
 		budget:   budget,
 		spec:     spec,
-		nActions: len(rt.Program().Schedule()),
+		nActions: n,
+		loads:    loads,
 	}, nil
 }
 
@@ -334,6 +379,36 @@ func (d *Daemon) instrument(m *endpointMetrics, h func(http.ResponseWriter, *htt
 		code := h(w, r)
 		m.observe(code, time.Since(t0))
 	}
+}
+
+// bufPool recycles the buffers POST bodies are read into, which the
+// decide handler then reuses for its response.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a POST body, at most maxBody bytes of it, into a
+// pooled buffer; the caller returns buf to bufPool once done with the
+// body. A body over the limit is answered with 413 before anything
+// decodes it, any other read failure with 400; code is then non-zero.
+func (d *Daemon) readBody(w http.ResponseWriter, r *http.Request) (buf *bytes.Buffer, code int) {
+	if r.ContentLength > d.maxBody {
+		return nil, d.writeTooLarge(w)
+	}
+	buf = bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, d.maxBody)); err != nil {
+		bufPool.Put(buf)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, d.writeTooLarge(w)
+		}
+		return nil, writeError(w, http.StatusBadRequest, "reading request body: "+err.Error(), 0)
+	}
+	return buf, 0
+}
+
+func (d *Daemon) writeTooLarge(w http.ResponseWriter) int {
+	return writeError(w, http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("request body over %d bytes", d.maxBody), 0)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) int {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -514,5 +515,50 @@ func TestQosdConfigErrors(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestQosdOversizedBodyRefused: a decide body past the daemon's limit
+// gets 413 with an ErrorResponse before anything decodes it, whether
+// its length is declared or streamed, and the admitted streams keep
+// deciding afterwards.
+func TestQosdOversizedBodyRefused(t *testing.T) {
+	d, srv := newTestDaemon(t, nil)
+	streams := admitN(t, srv, 2)
+
+	// A well-formed batch of 4 MiB: every item names a real stream.
+	item := fmt.Sprintf(`{"stream":%d,"load":0.5},`, streams[0].ID)
+	big := `{"items":[` + strings.Repeat(item, (4<<20)/len(item)) + item[:len(item)-1] + `]}`
+	if int64(len(big)) <= d.maxBody {
+		t.Fatalf("test body of %d bytes is within the %d-byte limit", len(big), d.maxBody)
+	}
+	for _, streamed := range []bool{false, true} {
+		var body io.Reader = strings.NewReader(big)
+		if streamed {
+			body = io.MultiReader(body) // hides the length: chunked encoding
+		}
+		resp, err := http.Post(srv.URL+"/v1/decide", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || er.Error == "" {
+			t.Fatalf("streamed=%v: HTTP %d, error body %+v (%v)", streamed, resp.StatusCode, er, err)
+		}
+	}
+
+	var dr api.DecideResponse
+	code, _ := postJSON(t, srv.URL+"/v1/decide", api.DecideRequest{Items: []api.DecideItem{
+		{Stream: streams[0].ID, Load: 1}, {Stream: streams[1].ID, Load: 0.5},
+	}}, &dr)
+	if code != http.StatusOK || len(dr.Results) != 2 {
+		t.Fatalf("decide after refusal: HTTP %d, %d results", code, len(dr.Results))
+	}
+	for _, r := range dr.Results {
+		if r.Code != api.DecideOK || r.Misses != 0 {
+			t.Fatalf("decide after refusal: %+v", r)
+		}
 	}
 }
