@@ -18,19 +18,21 @@
 // the daemon's size limit gets 413 before it is decoded.
 //
 // The two hot types, DecideRequest and DecideResponse, carry their own
-// JSON codec (codec.go), so every caller of encoding/json gets it with
-// no change. The wire format is exactly encoding/json's, byte for
-// byte. Encoding appends with strconv; a value JSON cannot carry
-// (NaN or ±Inf), or an error string that needs escaping, is encoded by
-// encoding/json instead. Decoding takes a fast path only for input in
-// the canonical shape the encoder writes (keys in order and lowercase,
-// no whitespace or escapes, numbers in range) into a target whose
-// slice has no capacity; everything else, null included, is decoded by
+// JSON decoders (codec.go), so every caller of json.Unmarshal gets
+// them with no change, and DecideResponse.AppendJSON encodes a
+// response without reflection. The wire format is exactly
+// encoding/json's, byte for byte: the types have no MarshalJSON, and
+// AppendJSON writes what json.Marshal writes. AppendJSON appends with
+// strconv; a value JSON cannot carry (NaN or ±Inf), or an error string
+// that needs escaping, is encoded by json.Marshal instead. Decoding
+// takes a fast path only for input in the canonical shape
+// encoding/json writes (keys in order and lowercase, no whitespace or
+// escapes, numbers in range) into a target whose slice has no
+// capacity; everything else, null included, is decoded by
 // encoding/json, so results, merge semantics and error texts are
-// encoding/json's. FuzzDecideCodec checks both paths against
-// encoding/json. One difference remains: the fallback encoding always
-// escapes HTML characters, even under an Encoder with
-// SetEscapeHTML(false).
+// encoding/json's. DecideRequest.DecodeFirst does the same with
+// json.Decoder's treatment of what follows the value. FuzzDecideCodec
+// checks every path against encoding/json.
 package api
 
 // AdmitRequest admits one or more streams of a model in a single

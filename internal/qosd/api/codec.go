@@ -7,71 +7,19 @@ import (
 	"strconv"
 )
 
-// The fallback types: the same fields with none of the methods below,
-// so encoding/json handles them by reflection. Each method declares its
-// fallback type locally under the original name, which keeps
-// encoding/json's error texts naming DecideRequest and DecideResponse.
+// The decode fallback types: the same fields with none of the methods
+// below, so encoding/json handles them by reflection. Each decode
+// declares its fallback type locally under the original name, which
+// keeps encoding/json's error texts naming DecideRequest and
+// DecideResponse.
 type (
 	requestFields  = DecideRequest
 	responseFields = DecideResponse
 )
 
-// MarshalJSON encodes r byte for byte as encoding/json encodes its
-// fields.
-func (r DecideRequest) MarshalJSON() ([]byte, error) {
-	return r.appendJSON(make([]byte, 0, 16+48*len(r.Items)))
-}
-
-// appendJSON appends r's JSON encoding, the bytes MarshalJSON returns,
-// to b.
-func (r DecideRequest) appendJSON(b []byte) ([]byte, error) {
-	if r.Items == nil {
-		return append(b, `{"items":null}`...), nil
-	}
-	start := len(b)
-	b = append(b, `{"items":[`...)
-	for i := range r.Items {
-		it := &r.Items[i]
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"stream":`...)
-		b = strconv.AppendUint(b, it.Stream, 10)
-		if len(it.Costs) > 0 {
-			b = append(b, `,"costs":[`...)
-			for k, c := range it.Costs {
-				if k > 0 {
-					b = append(b, ',')
-				}
-				b = strconv.AppendInt(b, c, 10)
-			}
-			b = append(b, ']')
-		}
-		if it.Load != 0 {
-			var ok bool
-			b = append(b, `,"load":`...)
-			if b, ok = appendFloat(b, it.Load); !ok {
-				type DecideRequest requestFields
-				return appendFallback(b[:start], DecideRequest(r))
-			}
-		}
-		b = append(b, '}')
-	}
-	return append(b, "]}"...), nil
-}
-
-// MarshalJSON encodes r byte for byte as encoding/json encodes its
-// fields.
-func (r DecideResponse) MarshalJSON() ([]byte, error) {
-	n := 16
-	for i := range r.Results {
-		n += 128 + 2*len(r.Results[i].Levels)
-	}
-	return r.AppendJSON(make([]byte, 0, n))
-}
-
-// AppendJSON appends r's JSON encoding, the bytes MarshalJSON returns,
-// to b.
+// AppendJSON appends r's JSON encoding to b, byte for byte as
+// json.Marshal encodes r. A value JSON cannot carry (NaN or ±Inf), or
+// an error string that needs escaping, is encoded by json.Marshal.
 func (r DecideResponse) AppendJSON(b []byte) ([]byte, error) {
 	if r.Results == nil {
 		return append(b, `{"results":null}`...), nil
@@ -117,8 +65,7 @@ func (r DecideResponse) AppendJSON(b []byte) ([]byte, error) {
 			b, ok = appendFloat(b, res.MeanLevel)
 		}
 		if !ok {
-			type DecideResponse responseFields
-			return appendFallback(b[:start], DecideResponse(r))
+			return appendFallback(b[:start], r)
 		}
 		b = append(b, '}')
 	}
@@ -182,12 +129,12 @@ func plainByte(c byte) bool {
 var streamKey = []byte(`{"stream":`)
 
 // UnmarshalJSON decodes data as encoding/json would decode r's fields.
-// Input in the canonical shape MarshalJSON writes, into an Items slice
-// with no capacity, takes the fast path; anything else goes to
+// Input in the canonical shape encoding/json writes, into an Items
+// slice with no capacity, takes the fast path; anything else goes to
 // encoding/json.
 func (r *DecideRequest) UnmarshalJSON(data []byte) error {
 	if cap(r.Items) == 0 {
-		if items, ok := decodeItems(data); ok {
+		if items, rest, ok := decodeItems(data); ok && len(rest) == 0 {
 			r.Items = items
 			return nil
 		}
@@ -196,19 +143,38 @@ func (r *DecideRequest) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*DecideRequest)(r))
 }
 
-func decodeItems(data []byte) ([]DecideItem, bool) {
+// DecodeFirst decodes the first JSON value in data into r, as
+// json.NewDecoder(bytes.NewReader(data)).Decode(r) does: leading
+// whitespace is skipped, anything after the value is ignored, and the
+// errors are json.Decoder's. A canonical value takes the fast path, as
+// in UnmarshalJSON; anything else is decoded by json.Decoder alone.
+func (r *DecideRequest) DecodeFirst(data []byte) error {
+	if cap(r.Items) == 0 {
+		if items, _, ok := decodeItems(data); ok {
+			r.Items = items
+			return nil
+		}
+	}
+	type DecideRequest requestFields
+	return json.NewDecoder(bytes.NewReader(data)).Decode((*DecideRequest)(r))
+}
+
+// decodeItems reads one canonical request from the front of data and
+// returns its items and the bytes after it; ok is false if data does
+// not start with a canonical request.
+func decodeItems(data []byte) (items []DecideItem, rest []byte, ok bool) {
 	rd := reader{b: data, ok: true}
 	if rd.lit(`{"items":[`); !rd.ok {
-		return nil, false
+		return nil, nil, false
 	}
-	items := make([]DecideItem, 0, bytes.Count(data, streamKey))
+	items = make([]DecideItem, 0, bytes.Count(data, streamKey))
 	var slab []int64 // backs every Costs vector
 	for rd.ok && !rd.opt("]") {
 		if len(items) > 0 {
 			rd.lit(",")
 		}
 		if len(items) == cap(items) {
-			return nil, false
+			return nil, nil, false
 		}
 		items = items[:len(items)+1]
 		it := &items[len(items)-1]
@@ -223,7 +189,10 @@ func decodeItems(data []byte) ([]DecideItem, bool) {
 		rd.lit("}")
 	}
 	rd.lit("}")
-	return items, rd.done()
+	if !rd.ok {
+		return nil, nil, false
+	}
+	return items, data[rd.i:], true
 }
 
 // UnmarshalJSON decodes data as encoding/json would decode r's fields.

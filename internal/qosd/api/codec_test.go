@@ -48,6 +48,11 @@ func checkDecode(t *testing.T, data []byte) {
 		if !sameError(errGot, errWant, "plainRequest", "DecideRequest") || !reflect.DeepEqual(got, DecideRequest(want)) {
 			t.Fatalf("DecideRequest decode of %q:\n got %+v, %v\nwant %+v, %v", data, got, errGot, want, errWant)
 		}
+		got, want = fill(), plainRequest(fill())
+		errGot, errWant = got.DecodeFirst(data), json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+		if !sameError(errGot, errWant, "plainRequest", "DecideRequest") || !reflect.DeepEqual(got, DecideRequest(want)) {
+			t.Fatalf("DecideRequest DecodeFirst of %q:\n got %+v, %v\nwant %+v, %v", data, got, errGot, want, errWant)
+		}
 	}
 	staleResults := func() []DecideResult {
 		return []DecideResult{{Stream: 3, Code: 200, Levels: []int{1, 2}, MeanLevel: 1.5}, {Stream: 4, Error: "x"}}
@@ -72,24 +77,26 @@ func sameError(got, want error, oracle, wire string) bool {
 	return got.Error() == strings.ReplaceAll(want.Error(), oracle, wire)
 }
 
-// checkEncode requires json.Marshal of v, and v's own append method, to
-// produce the oracle's bytes exactly, or every one of them to fail;
-// the encoding must then decode back as encoding/json decodes it.
-func checkEncode(t *testing.T, v, plain any, appendJSON func([]byte) ([]byte, error)) {
+// checkEncode requires AppendJSON to append exactly json.Marshal's
+// encoding of resp, or both to fail. The request, which has no encoder
+// of its own, and the response encodings must then decode as
+// encoding/json decodes them.
+func checkEncode(t *testing.T, req DecideRequest, resp DecideResponse) {
 	t.Helper()
-	want, errWant := json.Marshal(plain)
-	got, errGot := json.Marshal(v)
-	direct, errDirect := appendJSON([]byte("prefix"))
-	if (errGot == nil) != (errWant == nil) || (errDirect == nil) != (errWant == nil) {
-		t.Fatalf("encode of %+v: errors %v / %v, oracle %v", plain, errGot, errDirect, errWant)
+	want, errWant := json.Marshal(resp)
+	got, errGot := resp.AppendJSON([]byte("prefix"))
+	if (errGot == nil) != (errWant == nil) {
+		t.Fatalf("encode of %+v: error %v, json.Marshal %v", resp, errGot, errWant)
 	}
-	if errWant != nil {
-		return
+	if errWant == nil {
+		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("encode of %+v:\n got %s\nwant prefix%s", resp, got, want)
+		}
+		checkDecode(t, want)
 	}
-	if !bytes.Equal(got, want) || !bytes.Equal(direct, append([]byte("prefix"), want...)) {
-		t.Fatalf("encode of %+v:\n got %s\nappend %s\nwant %s", plain, got, direct, want)
+	if data, err := json.Marshal(req); err == nil {
+		checkDecode(t, data)
 	}
-	checkDecode(t, want)
 }
 
 // fuzzValues builds a request and a response from fuzzer-chosen
@@ -120,24 +127,19 @@ func fuzzValues(stream uint64, load float64, cost int64, msg string, level int, 
 	return req, resp
 }
 
-func checkValues(t *testing.T, req DecideRequest, resp DecideResponse) {
-	t.Helper()
-	checkEncode(t, req, plainRequest(req), req.appendJSON)
-	checkEncode(t, resp, plainResponse(resp), resp.AppendJSON)
-}
-
 // FuzzDecideCodec is the differential check of the hand-written codec
 // against encoding/json: arbitrary bytes must decode identically, and
-// fuzzer-built values must encode to identical bytes.
+// fuzzer-built responses must encode to identical bytes.
 func FuzzDecideCodec(f *testing.F) {
 	// Small canonical seeds: the engine minimizes every new input it
 	// finds interesting, and that takes time in the input's length.
 	req, resp := fuzzValues(1, 0.5, 100, "", 3, 2)
-	reqJSON, _ := req.MarshalJSON()
-	respJSON, _ := resp.MarshalJSON()
+	reqJSON, _ := json.Marshal(req)
+	respJSON, _ := resp.AppendJSON(nil)
 	for _, s := range []string{
 		string(reqJSON), string(respJSON),
 		`{"items":[]}`, `{"results":[]}`, `{"items":null}`, `null`, `[]`, ` {"items":[]} `,
+		`{"items":[{"stream":1}]}` + "\n", `{"items":[{"stream":1}]}{`, `{"items":[{"stream":1}]`,
 		`{"items":[{"stream":1,"costs":[1,-2,3],"load":0.5}]}`,
 		`{"items":[{"stream":1,"costs":[],"load":1e-7}]}`,
 		`{"items":[{"Stream":1}]}`, `{"items":[{"stream":1,"stream":2}]}`,
@@ -156,7 +158,7 @@ func FuzzDecideCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, stream uint64, load float64, cost int64, msg string, level int, shape uint8) {
 		checkDecode(t, data)
 		req, resp := fuzzValues(stream, load, cost, msg, level, shape)
-		checkValues(t, req, resp)
+		checkEncode(t, req, resp)
 	})
 }
 
@@ -172,13 +174,25 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 	if err := json.Unmarshal(readCapture(t, "decide_response.json"), &resp); err != nil {
 		t.Fatal(err)
 	}
-	checkValues(t, req, resp)
+	checkEncode(t, req, resp)
 	for shape := uint8(0); shape < 9; shape++ {
 		for _, load := range []float64{0, 0.25, 1e-7, 1e21, 5e-324, math.NaN(), math.Inf(-1)} {
 			for _, msg := range []string{"", "unknown stream", "<&>", "é", "tab\there"} {
 				req, resp := fuzzValues(42, load, -7, msg, 5, shape)
-				checkValues(t, req, resp)
+				checkEncode(t, req, resp)
 			}
+		}
+	}
+}
+
+// TestNoMarshalJSON: json.Marshal re-scans and compacts whatever a
+// MarshalJSON returns, which costs more than reflection saves on a
+// decide batch, so the wire types leave encoding to reflection (and
+// the daemon to AppendJSON).
+func TestNoMarshalJSON(t *testing.T) {
+	for _, v := range []any{DecideRequest{}, &DecideRequest{}, DecideResponse{}, &DecideResponse{}} {
+		if _, ok := v.(json.Marshaler); ok {
+			t.Errorf("%T implements json.Marshaler", v)
 		}
 	}
 }
@@ -211,7 +225,7 @@ func batchOf(tb testing.TB, n int) []byte {
 		out.Results[i] = captured.Results[i%len(captured.Results)]
 		out.Results[i].Stream = uint64(i + 1)
 	}
-	b, err := out.MarshalJSON()
+	b, err := out.AppendJSON(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -259,15 +273,13 @@ func TestDecodedLevelsAreCapped(t *testing.T) {
 
 var sinkBytes []byte
 
-// BenchmarkDecideCodec decodes and encodes a captured 36-item decide
-// exchange, on the fast codec and on encoding/json's reflection path.
+// BenchmarkDecideCodec decodes a captured 36-item decide exchange and
+// encodes its response, on the fast codec and on encoding/json's
+// reflection path. The fast request decode is DecodeFirst, as the
+// daemon calls it.
 func BenchmarkDecideCodec(b *testing.B) {
 	reqData, respData := readCapture(b, "decide_request.json"), readCapture(b, "decide_response.json")
-	var req DecideRequest
 	var resp DecideResponse
-	if err := json.Unmarshal(reqData, &req); err != nil {
-		b.Fatal(err)
-	}
 	if err := json.Unmarshal(respData, &resp); err != nil {
 		b.Fatal(err)
 	}
@@ -289,7 +301,7 @@ func BenchmarkDecideCodec(b *testing.B) {
 					switch v := d.into().(type) {
 					case *DecideRequest:
 						if side == "fast" {
-							err = v.UnmarshalJSON(d.data)
+							err = v.DecodeFirst(d.data)
 						} else {
 							err = json.Unmarshal(d.data, (*plainRequest)(v))
 						}
@@ -307,25 +319,19 @@ func BenchmarkDecideCodec(b *testing.B) {
 			})
 		}
 	}
-	encode := []struct {
-		name          string
-		fast, reflect func() ([]byte, error)
-	}{
-		{"request", req.MarshalJSON, func() ([]byte, error) { return json.Marshal(plainRequest(req)) }},
-		{"response", resp.MarshalJSON, func() ([]byte, error) { return json.Marshal(plainResponse(resp)) }},
-	}
-	for _, e := range encode {
-		for side, enc := range map[string]func() ([]byte, error){"fast": e.fast, "reflect": e.reflect} {
-			b.Run(fmt.Sprintf("encode/%s/%s", e.name, side), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out, err := enc()
-					if err != nil {
-						b.Fatal(err)
-					}
-					sinkBytes = out
+	for side, enc := range map[string]func() ([]byte, error){
+		"fast":    func() ([]byte, error) { return resp.AppendJSON(make([]byte, 0, len(respData))) },
+		"reflect": func() ([]byte, error) { return json.Marshal(resp) },
+	} {
+		b.Run("encode/response/"+side, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := enc()
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				sinkBytes = out
+			}
+		})
 	}
 }

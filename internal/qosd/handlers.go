@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -111,12 +112,11 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 // decodeBody reads the bounded body and decodes its first JSON value
 // into v, answering a failure itself (non-zero code).
 func (d *Daemon) decodeBody(w http.ResponseWriter, r *http.Request, v any) int {
-	buf, code := d.readBody(w, r)
+	body, code := d.readBody(w, r)
 	if code != 0 {
 		return code
 	}
-	defer bufPool.Put(buf)
-	if err := json.NewDecoder(buf).Decode(v); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
 	}
 	return 0
@@ -166,9 +166,9 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) int {
 // handleDecide serves a batch of control cycles. Items are independent:
 // each carries its own status code, so one revoked or unknown stream
 // does not fail its batch siblings. The body is decoded and the reply
-// encoded by the api codec directly; a body the codec's fast path
-// declines is decoded again by json.Decoder, so errors and trailing
-// data are treated exactly as on every other endpoint.
+// encoded by the api codec directly. DecodeFirst hands a body its fast
+// path declines to json.Decoder, so errors and trailing data are
+// treated exactly as on every other endpoint.
 func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
@@ -176,17 +176,13 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	if d.draining.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "draining", 0)
 	}
-	buf, code := d.readBody(w, r)
+	body, code := d.readBody(w, r)
 	if code != 0 {
 		return code
 	}
-	defer bufPool.Put(buf)
 	var req api.DecideRequest
-	if req.UnmarshalJSON(buf.Bytes()) != nil {
-		req = api.DecideRequest{}
-		if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req); err != nil {
-			return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
-		}
+	if err := req.DecodeFirst(body); err != nil {
+		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
 	}
 	if len(req.Items) > d.cfg.MaxBatch {
 		return writeError(w, http.StatusBadRequest,
@@ -199,9 +195,11 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	for i := range req.Items {
 		resp.Results[i], slab = d.decideOne(&req.Items[i], slab)
 	}
-	// The request no longer refers to the body, so its buffer takes
-	// the reply.
-	out, err := resp.AppendJSON(buf.Bytes()[:0])
+	n := 16 // room for the whole reply, so the encode allocates once
+	for i := range resp.Results {
+		n += 128 + 2*len(resp.Results[i].Levels)
+	}
+	out, err := resp.AppendJSON(make([]byte, 0, n))
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error(), 0)
 	}
@@ -305,17 +303,17 @@ func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult, slab []i
 	return false
 }
 
-// Cost is the running item's execution time for action a: its Costs
-// entry (indexed by schedule action ID) when it has Costs, otherwise
-// the action's average time shifted Load of the way toward the worst
-// case, with Load clamped into [0, 1] so the synthetic cost always
-// respects the execution contract. The level index comes from the
-// observer, which has just recorded this action's decision.
-func (st *stream) Cost(a core.ActionID, _ core.Level) core.Cycles {
+// Cost is the running item's execution time for action a at level q:
+// its Costs entry (indexed by schedule action ID) when it has Costs,
+// otherwise the action's average time shifted Load of the way toward
+// the worst case, with Load clamped into [0, 1] so the synthetic cost
+// always respects the execution contract.
+func (st *stream) Cost(a core.ActionID, q core.Level) core.Cycles {
 	if len(st.costs) > 0 {
 		return core.Cycles(st.costs[a])
 	}
-	c := st.m.loads[st.levels[len(st.levels)-1]*st.m.nActions+int(a)]
+	qi, _ := slices.BinarySearch(st.m.levels, q)
+	c := st.m.loads[qi*st.m.nActions+int(a)]
 	return c.av.AddSat(core.Cycles(st.load * float64(c.span)))
 }
 

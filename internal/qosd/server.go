@@ -22,10 +22,10 @@
 package qosd
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -76,11 +76,12 @@ type model struct {
 	budget   *mixer.Budget
 	spec     mixer.StreamSpec
 	nActions int
-	// loads is the synthetic-cost table, nActions entries per level
-	// index: each action's average time and its distance to the worst
-	// case (0 where the worst case is infinite).
-	loads []loadCost
-	ctrl  ctrlStats
+	// loads is the synthetic-cost table, nActions entries per index
+	// into levels: each action's average time and its distance to the
+	// worst case (0 where the worst case is infinite).
+	levels core.LevelSet
+	loads  []loadCost
+	ctrl   ctrlStats
 }
 
 type loadCost struct{ av, span core.Cycles }
@@ -262,6 +263,7 @@ func loadModel(mf ModelFile, cfg Config) (*model, error) {
 		budget:   budget,
 		spec:     spec,
 		nActions: n,
+		levels:   rsys.Levels,
 		loads:    loads,
 	}, nil
 }
@@ -381,29 +383,22 @@ func (d *Daemon) instrument(m *endpointMetrics, h func(http.ResponseWriter, *htt
 	}
 }
 
-// bufPool recycles the buffers POST bodies are read into, which the
-// decide handler then reuses for its response.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readBody reads a POST body, at most maxBody bytes of it, into a
-// pooled buffer; the caller returns buf to bufPool once done with the
-// body. A body over the limit is answered with 413 before anything
-// decodes it, any other read failure with 400; code is then non-zero.
-func (d *Daemon) readBody(w http.ResponseWriter, r *http.Request) (buf *bytes.Buffer, code int) {
+// readBody reads a POST body, at most maxBody bytes of it. A body over
+// the limit is answered with 413 before anything decodes it, any other
+// read failure with 400; code is then non-zero.
+func (d *Daemon) readBody(w http.ResponseWriter, r *http.Request) (body []byte, code int) {
 	if r.ContentLength > d.maxBody {
 		return nil, d.writeTooLarge(w)
 	}
-	buf = bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, d.maxBody)); err != nil {
-		bufPool.Put(buf)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.maxBody))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, d.writeTooLarge(w)
 		}
 		return nil, writeError(w, http.StatusBadRequest, "reading request body: "+err.Error(), 0)
 	}
-	return buf, 0
+	return body, 0
 }
 
 func (d *Daemon) writeTooLarge(w http.ResponseWriter) int {

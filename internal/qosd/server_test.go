@@ -562,3 +562,46 @@ func TestQosdOversizedBodyRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestQosdDecideBodyAsDecoder: /v1/decide reads its body as
+// json.Decoder does. Whitespace and anything after the first value are
+// accepted, and a malformed body is refused with json.Decoder's error.
+func TestQosdDecideBodyAsDecoder(t *testing.T) {
+	_, srv := newTestDaemon(t, nil)
+	id := admitN(t, srv, 1)[0].ID
+	item := fmt.Sprintf(`{"items":[{"stream":%d,"load":0.5}]}`, id)
+	for _, tc := range []struct {
+		body string
+		code int
+		err  string
+	}{
+		{item, http.StatusOK, ""},
+		{item + "\n", http.StatusOK, ""},
+		{item + "trailing junk", http.StatusOK, ""},
+		{fmt.Sprintf(` { "items" : [ { "Stream" : %d } ] } `, id), http.StatusOK, ""},
+		{`{"items":[{"stream":"x"}]}`, http.StatusBadRequest,
+			"bad request body: json: cannot unmarshal string into Go struct field DecideItem.items.stream of type uint64"},
+		{`{"items":`, http.StatusBadRequest, "bad request body: unexpected EOF"},
+		{`[]`, http.StatusBadRequest,
+			"bad request body: json: cannot unmarshal array into Go value of type api.DecideRequest"},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/decide", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dr api.DecideResponse
+		var er api.ErrorResponse
+		if tc.code == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&dr)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&er)
+		}
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.code || er.Error != tc.err {
+			t.Fatalf("body %q: HTTP %d, error %q (%v); want HTTP %d, error %q", tc.body, resp.StatusCode, er.Error, err, tc.code, tc.err)
+		}
+		if tc.code == http.StatusOK && (len(dr.Results) != 1 || dr.Results[0].Code != api.DecideOK) {
+			t.Fatalf("body %q: results %+v", tc.body, dr.Results)
+		}
+	}
+}
