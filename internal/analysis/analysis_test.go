@@ -19,7 +19,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 func TestGolden(t *testing.T) {
 	fixtures := []string{
 		"arith", "atomicsafety", "blockunderlock", "clean", "ctxloop",
-		"goroutinelife", "hotalloc", "infguard", "lockorder", "mixerlock", "slab",
+		"goroutinelife", "heldwalk", "hotalloc", "infguard", "lockorder", "mixerlock",
+		"slab",
 	}
 	for _, name := range fixtures {
 		t.Run(name, func(t *testing.T) {
