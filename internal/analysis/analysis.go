@@ -51,6 +51,17 @@
 //     only, or every unbounded loop selects on ctx.Done()/a close-only
 //     channel — unless justified with //qos:goroutine-ok <reason>.
 //
+// The checks other than cyclesarith, infguard and slabaccess are
+// queries over one program that Analyze builds per call (flow.go): the
+// module's function inventory, a static call graph whose edges mark
+// calls under a go statement or in a select's comm clause as spawned,
+// and one fixpoint that closes three facts per function over it —
+// which mutexes it may acquire (lockorder), whether it may acquire one
+// through same-package calls (mixerlock), and why it may block,
+// along unspawned edges only (blockunderlock, ctxloop, goroutinelife).
+// hotalloc walks the same edges from its roots, and mixerlock,
+// lockorder and blockunderlock are hook sets over one held-lock walker.
+//
 // The arithmetic checks (cyclesarith, infguard) honour the annotation
 //
 //	//qos:overflow-ok <reason>
@@ -171,28 +182,28 @@ func sortDiagnostics(ds []Diagnostic) {
 
 // Analyze runs every check over the loaded packages and returns the
 // findings sorted by position. The per-package checks (cyclesarith,
-// infguard, mixerlock, slabaccess) see one package at a time; the
-// module-wide checks (atomicsafety, lockorder, hotalloc, and the
-// liveness trio blockunderlock/ctxloop/goroutinelife, which share one
-// precomputed blocking closure) see the whole package set, so
-// cross-package mixed access, lock-order cycles, hot-path reachability
-// and may-block call chains are visible.
+// infguard, slabaccess) see one package at a time. The others see the
+// whole package set, so cross-package mixed access, lock-order cycles,
+// hot-path reachability and may-block call chains are visible; all of
+// them but atomicsafety read the one program built here. mixerlock
+// reads it too but keeps its same-package scope: it only follows calls
+// within the caller's package.
 func Analyze(pkgs []*Package) []Diagnostic {
 	ann := collectAnnotations(pkgs)
+	prog := buildProgram(pkgs)
 	var raw []finding
 	for _, p := range pkgs {
 		raw = append(raw, checkCyclesArith(p)...)
 		raw = append(raw, checkInfGuard(p)...)
-		raw = append(raw, checkMixerLock(p)...)
 		raw = append(raw, checkSlabAccess(p)...)
 	}
 	raw = append(raw, checkAtomicSafety(pkgs)...)
-	raw = append(raw, checkLockOrder(pkgs)...)
-	raw = append(raw, checkHotAlloc(pkgs, ann)...)
-	bi := buildBlockInfo(pkgs)
-	raw = append(raw, checkBlockUnderLock(pkgs, bi)...)
-	raw = append(raw, checkCtxLoop(pkgs, bi)...)
-	raw = append(raw, checkGoroutineLife(pkgs, bi)...)
+	raw = append(raw, checkMixerLock(prog)...)
+	raw = append(raw, checkLockOrder(prog)...)
+	raw = append(raw, checkHotAlloc(prog, ann)...)
+	raw = append(raw, checkBlockUnderLock(prog)...)
+	raw = append(raw, checkCtxLoop(prog)...)
+	raw = append(raw, checkGoroutineLife(prog)...)
 	ds := ann.resolve(raw)
 	sortDiagnostics(ds)
 	return ds

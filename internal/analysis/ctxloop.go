@@ -25,33 +25,29 @@ import (
 // their consultations belong to their own spawn site (goroutinelife's
 // jurisdiction). Not suppressible: a loop that waits without watching
 // its context has no safe justification under cancellation.
-func checkCtxLoop(pkgs []*Package, bi *blockInfo) []finding {
+func checkCtxLoop(prog *program) []finding {
 	var ds []finding
-	for _, fd := range bi.funcs {
-		if !hasContextParam(fd.fn) {
+	for _, fn := range prog.funcs {
+		if !hasContextParam(fn.obj) {
 			continue
 		}
-		fd := fd
-		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.GoStmt); ok {
-				return false
-			}
-			var loop ast.Node
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
 			switch n.(type) {
+			case *ast.GoStmt:
+				return false
 			case *ast.ForStmt, *ast.RangeStmt:
-				loop = n
 			default:
 				return true
 			}
-			reason := loopBlockReason(fd.p, bi, loop)
-			if reason == "" || loopConsultsCtx(fd.p, loop) {
+			reason := prog.loopBlockReason(fn.p, n)
+			if reason == "" || callsIn(fn.p, n, isCtxConsult) {
 				return true
 			}
 			ds = append(ds, finding{d: Diagnostic{
-				Pos:   nodeLine(fd.p.Fset, loop),
+				Pos:   nodeLine(fn.p.Fset, n),
 				Check: CheckCtxLoop,
 				Message: fmt.Sprintf("%s takes a context but this loop %s without consulting it; a canceled caller is stranded — call ctx.Err() or select on <-ctx.Done() each iteration",
-					fd.fn.Name(), reason),
+					fn.obj.Name(), reason),
 			}})
 			return true
 		})
@@ -84,52 +80,25 @@ func isContextType(t types.Type) bool {
 }
 
 // loopBlockReason returns the first reason the loop's subtree may wait
-// ("" if it provably cannot): a direct blocking construct, or a call to
-// a function in the module's mayBlock closure.
-func loopBlockReason(p *Package, bi *blockInfo, loop ast.Node) string {
+// ("" if it provably cannot): an unspawned blocking construct, or an
+// unspawned call to a function the may-block fact covers.
+func (prog *program) loopBlockReason(p *Package, loop ast.Node) string {
 	reason := ""
-	scanBlocking(p, loop, func(n ast.Node, what string) {
-		if reason == "" {
-			reason = what
-		}
-	}, func(call *ast.CallExpr) {
-		if reason != "" {
-			return
-		}
-		if callee := moduleCallee(p, bi.pkgSet, call); callee != nil {
-			if why := bi.blocks[callee]; why != "" {
-				reason = fmt.Sprintf("calls %s, which may block (%s)", callee.Name(), why)
+	inspectSpawn(loop, func(n ast.Node, spawned bool) bool {
+		if reason == "" && !spawned {
+			if reason = blockReason(p, n); reason == "" {
+				if call, ok := n.(*ast.CallExpr); ok {
+					reason = prog.mayBlockCall(p, call)
+				}
 			}
 		}
+		return reason == ""
 	})
 	return reason
 }
 
-// loopConsultsCtx reports whether the loop's subtree (goroutine spawns
-// excluded) calls Err or Done on a context-typed value — the two shapes
-// a cancellation check can take.
-func loopConsultsCtx(p *Package, loop ast.Node) bool {
-	found := false
-	ast.Inspect(loop, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.GoStmt); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Err" && sel.Sel.Name != "Done") {
-			return true
-		}
-		if tv, ok := p.Info.Types[sel.X]; ok && isContextType(tv.Type) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+// isCtxConsult matches the two calls a cancellation check can make:
+// context.Context's Err and Done.
+func isCtxConsult(fn *types.Func) bool {
+	return isMethod(fn, "context", "Context", "Err", "Done")
 }

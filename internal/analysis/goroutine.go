@@ -35,23 +35,22 @@ import (
 // dies with main) are a legitimate design, but one that must be argued,
 // not silent. Test files never reach this check: LoadModule skips
 // _test.go.
-func checkGoroutineLife(pkgs []*Package, bi *blockInfo) []finding {
+func checkGoroutineLife(prog *program) []finding {
 	var ds []finding
-	for _, fd := range bi.funcs {
-		fd := fd
+	for _, fd := range prog.funcs {
 		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
 			pos := nodeLine(fd.p.Fset, g)
-			body, desc := goBody(fd.p, bi, g)
+			body, desc := prog.goBody(fd.p, g)
 			if body == nil {
 				ds = append(ds, goFinding(pos, fmt.Sprintf(
 					"goroutine body (%s) is not statically resolvable, so no termination signal can be proved", desc)))
 				return true
 			}
-			if callsWaitGroupDone(fd.p, body) {
+			if callsIn(fd.p, body, func(fn *types.Func) bool { return isMethod(fn, "sync", "WaitGroup", "Done") }) {
 				return true // joined: the spawner's Wait bounds its life
 			}
 			if bad := firstUnprovenLoop(fd.p, body); bad != nil {
@@ -75,47 +74,17 @@ func goFinding(pos token.Position, msg string) finding {
 // goBody resolves the body a go statement runs: a function literal's
 // own body, or the declaration of a module function named directly.
 // Returns nil (with a description of the shape) when neither applies.
-func goBody(p *Package, bi *blockInfo, g *ast.GoStmt) (*ast.BlockStmt, string) {
+func (prog *program) goBody(p *Package, g *ast.GoStmt) (*ast.BlockStmt, string) {
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 		return lit.Body, "func literal"
 	}
-	if callee := moduleCallee(p, bi.pkgSet, g.Call); callee != nil {
-		if mf := bi.byObj[callee]; mf != nil {
-			return mf.decl.Body, callee.Name()
+	if callee := calleeOf(p, g.Call); callee != nil && prog.mod[callee.Pkg()] {
+		if fn := prog.byObj[callee]; fn != nil {
+			return fn.decl.Body, callee.Name()
 		}
 		return nil, callee.Name() + " has no body in this module"
 	}
 	return nil, exprPath(g.Call.Fun)
-}
-
-// callsWaitGroupDone reports whether body calls (*sync.WaitGroup).Done
-// outside nested spawns — the join discipline: a Done visible in the
-// body pairs with a Wait at or above the spawn site.
-func callsWaitGroupDone(p *Package, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.GoStmt); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Done" {
-			return true
-		}
-		if fn, ok := p.Info.Uses[sel.Sel].(*types.Func); ok &&
-			fn.Pkg() != nil && fn.Pkg().Path() == "sync" && recvTypeName(fn) == "WaitGroup" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // firstUnprovenLoop returns the first loop in body (nested spawns
@@ -150,15 +119,15 @@ func firstUnprovenLoop(p *Package, body *ast.BlockStmt) ast.Node {
 }
 
 // loopHasExitSignal reports whether an unconditional for {} loop
-// contains a recognized exit shape: a select receive case whose body
-// returns or breaks (the <-ctx.Done() / stop-channel idiom), or a
-// ctx.Err() call (assumed to gate a return).
+// contains a recognized exit shape: a ctx.Err() call (assumed to gate a
+// return), or a select receive case whose body returns or breaks (the
+// <-ctx.Done() / stop-channel idiom).
 func loopHasExitSignal(p *Package, loop *ast.ForStmt) bool {
+	if callsIn(p, loop.Body, func(fn *types.Func) bool { return isMethod(fn, "context", "Context", "Err") }) {
+		return true
+	}
 	found := false
 	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
 		switch x := n.(type) {
 		case *ast.GoStmt, *ast.FuncLit:
 			return false
@@ -168,23 +137,12 @@ func loopHasExitSignal(p *Package, loop *ast.ForStmt) bool {
 				if !ok || cc.Comm == nil {
 					continue
 				}
-				if _, isSend := cc.Comm.(*ast.SendStmt); isSend {
-					continue
-				}
-				if bodyExits(cc.Body) {
+				if _, isSend := cc.Comm.(*ast.SendStmt); !isSend && bodyExits(cc.Body) {
 					found = true
-					return false
-				}
-			}
-		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Err" {
-				if tv, ok := p.Info.Types[sel.X]; ok && isContextType(tv.Type) {
-					found = true
-					return false
 				}
 			}
 		}
-		return true
+		return !found
 	})
 	return found
 }

@@ -45,65 +45,7 @@ const hotpathMarker = "qos:hotpath"
 // static callee, so the walk stops there. That is why both
 // LevelSelector implementations are roots themselves rather than being
 // reached through Controller.Next's selector field.
-func checkHotAlloc(pkgs []*Package, ann *annotations) []finding {
-	mod := make(map[*types.Package]bool, len(pkgs))
-	for _, p := range pkgs {
-		mod[p.Pkg] = true
-	}
-
-	type fnDecl struct {
-		p    *Package
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var funcs []fnDecl
-	byObj := make(map[*types.Func]int)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					byObj[fn] = len(funcs)
-					funcs = append(funcs, fnDecl{p, fn, fd})
-				}
-			}
-		}
-	}
-
-	// Static call edges, in source order, with positions (for alloc-ok
-	// edge pruning).
-	type edge struct {
-		callee *types.Func
-		pos    token.Position
-	}
-	edges := make([][]edge, len(funcs))
-	for i, fd := range funcs {
-		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var id *ast.Ident
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				id = fun
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			default:
-				return true
-			}
-			if fn, ok := fd.p.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && mod[fn.Pkg()] {
-				if _, declared := byObj[fn]; declared {
-					edges[i] = append(edges[i], edge{fn, nodeLine(fd.p.Fset, call)})
-				}
-			}
-			return true
-		})
-	}
-
+func checkHotAlloc(prog *program, ann *annotations) []finding {
 	// occupied marks lines that carry a module call or an allocating
 	// construct; an annotation on such a line binds there and cannot
 	// drift down to justify the next line's edge (the same one-line
@@ -117,9 +59,9 @@ func checkHotAlloc(pkgs []*Package, ann *annotations) []finding {
 		}
 		m[pos.Line] = true
 	}
-	for i, fd := range funcs {
-		for _, e := range edges[i] {
-			occupy(e.pos)
+	for _, fd := range prog.funcs {
+		for _, e := range fd.calls {
+			occupy(fd.p.Fset.Position(e.pos))
 		}
 		for _, f := range scanAllocs(fd.p, fd.decl.Body, "") {
 			occupy(f.d.Pos)
@@ -139,34 +81,34 @@ func checkHotAlloc(pkgs []*Package, ann *annotations) []finding {
 
 	// Roots, then BFS. reachedFrom records the first root that reached
 	// each function, for the messages.
-	reachedFrom := make(map[*types.Func]string)
-	var queue []int
-	for i, fd := range funcs {
+	reachedFrom := make(map[*function]string)
+	var queue []*function
+	for _, fd := range prog.funcs {
 		if hasHotpathMarker(fd.decl.Doc) {
-			reachedFrom[fd.fn] = funcDisplayName(fd.fn)
-			queue = append(queue, i)
+			reachedFrom[fd] = funcDisplayName(fd.obj)
+			queue = append(queue, fd)
 		}
 	}
 	for len(queue) > 0 {
-		i := queue[0]
+		fd := queue[0]
 		queue = queue[1:]
-		for _, e := range edges[i] {
+		for _, e := range fd.calls {
 			// A justified edge is pruned even when the callee is reachable
 			// elsewhere: the annotation owns this call site.
-			if justified(e.pos) {
+			if justified(fd.p.Fset.Position(e.pos)) {
 				continue
 			}
 			if _, ok := reachedFrom[e.callee]; ok {
 				continue
 			}
-			reachedFrom[e.callee] = reachedFrom[funcs[i].fn]
-			queue = append(queue, byObj[e.callee])
+			reachedFrom[e.callee] = reachedFrom[fd]
+			queue = append(queue, e.callee)
 		}
 	}
 
 	var ds []finding
-	for _, fd := range funcs {
-		root, hot := reachedFrom[fd.fn]
+	for _, fd := range prog.funcs {
+		root, hot := reachedFrom[fd]
 		if !hot {
 			continue
 		}

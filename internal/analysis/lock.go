@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 )
 
 // checkMixerLock is the intra-package lock-discipline check: no
@@ -19,356 +18,54 @@ import (
 // The remaining cross-kind hazard — upgrading RLock to Lock on the
 // same mutex — is the lockorder check's job.
 //
-// The analysis is deliberately intra-procedural about lock state: a
-// sequential walk of each body tracks Lock/Unlock on mutex-typed
-// selector paths (a deferred Unlock holds to function end; branch
-// bodies are scanned with a copy of the state). It is conservative
-// about identity — while any mutex is held, calling any same-package
-// function that may acquire any mutex is reported — which is exact for
-// single-mutex packages like the mixer and errs on the loud side
-// elsewhere.
-func checkMixerLock(p *Package) []finding {
-	funcs := packageFuncs(p)
-	if len(funcs) == 0 {
-		return nil
-	}
-
-	// Direct acquisitions and the same-package static call graph.
-	acquires := make(map[*types.Func]bool)
-	calls := make(map[*types.Func]map[*types.Func]bool)
-	for fn, decl := range funcs {
-		if decl.Body == nil {
-			continue
+// The check is a hook set over walkHeld with the program's
+// same-package acquisition fact. Lock identity is the textual path
+// (b.mu), so a lock whose receiver resolves to no variable still
+// counts as held. It is conservative about identity — while any mutex
+// is held, calling any same-package function that may acquire any
+// mutex is reported — which is exact for single-mutex packages like the
+// mixer and errs on the loud side elsewhere. Widening the fact to
+// module-wide calls would flag helpers such as qosd's teardownLocked,
+// which take a different package's locks under the caller's.
+func checkMixerLock(prog *program) []finding {
+	var ds []finding
+	for _, fn := range prog.funcs {
+		name := fn.obj.Name()
+		report := func(n ast.Node, format string, args ...any) {
+			ds = append(ds, finding{d: Diagnostic{Pos: nodeLine(fn.p.Fset, n), Check: CheckMixerLock, Message: fmt.Sprintf(format, args...)}})
 		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if op, _ := lockCallKind(p, call); op == opLock || op == opRLock {
-				acquires[fn] = true
-			}
-			if callee := staticCallee(p, call); callee != nil {
-				m := calls[fn]
-				if m == nil {
-					m = make(map[*types.Func]bool)
-					calls[fn] = m
+		walkHeld(fn.p, fn.decl.Body, heldHooks{
+			acquire: func(call *ast.CallExpr, h heldLock, held []heldLock) {
+				var mode uint8
+				for _, o := range held {
+					if o.path == h.path {
+						mode |= modeBit(o.write)
+					}
 				}
-				m[callee] = true
-			}
-			return true
+				switch {
+				case h.write && mode&heldWrite != 0:
+					report(call, "%s locks %s, which it already holds", name, h.path)
+				case !h.write && mode&heldWrite != 0:
+					report(call, "%s read-locks %s while write-holding it; RWMutex is not reentrant", name, h.path)
+				case !h.write && mode&heldRead != 0:
+					report(call, "%s read-locks %s, which it already read-holds; a writer queued between the two RLocks deadlocks", name, h.path)
+				}
+			},
+			call: func(call *ast.CallExpr, held []heldLock) {
+				c := prog.byObj[calleeOf(fn.p, call)]
+				if c == nil || c.p != fn.p || !c.pkgAcquires {
+					return
+				}
+				// Name the smallest held path, deterministically; one mutex
+				// is the overwhelmingly common case.
+				first := held[0].path
+				for _, o := range held {
+					first = min(first, o.path)
+				}
+				report(call, "%s calls %s while holding %s; %s acquires a mutex — potential self-deadlock",
+					name, c.obj.Name(), first, c.obj.Name())
+			},
 		})
 	}
-
-	// mayAcquire: transitive closure over the call graph.
-	mayAcquire := make(map[*types.Func]bool, len(acquires))
-	for fn := range acquires {
-		mayAcquire[fn] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, callees := range calls {
-			if mayAcquire[fn] {
-				continue
-			}
-			for callee := range callees {
-				if mayAcquire[callee] {
-					mayAcquire[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	var ds []finding
-	for fn, decl := range funcs {
-		if decl.Body == nil {
-			continue
-		}
-		w := &lockWalker{p: p, funcs: funcs, mayAcquire: mayAcquire, owner: fn}
-		w.stmts(decl.Body.List, map[string]uint8{})
-		ds = append(ds, w.diags...)
-	}
 	return ds
-}
-
-// packageFuncs maps the package's function objects to their
-// declarations.
-func packageFuncs(p *Package) map[*types.Func]*ast.FuncDecl {
-	out := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					out[fn] = fd
-				}
-			}
-		}
-	}
-	return out
-}
-
-// lockOp is the exact lock operation of a call: write and read
-// acquires are distinct kinds, as are their releases.
-type lockOp int
-
-const (
-	opNone lockOp = iota
-	opLock
-	opRLock
-	opUnlock
-	opRUnlock
-)
-
-// Held-state bits per mutex path.
-const (
-	heldWrite uint8 = 1 << iota
-	heldRead
-)
-
-// lockCallKind classifies call as one of Lock/RLock/Unlock/RUnlock on a
-// sync.Mutex or sync.RWMutex value, and returns the textual path of the
-// mutex (e.g. "b.mu") for matching within one function.
-func lockCallKind(p *Package, call *ast.CallExpr) (lockOp, string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return opNone, ""
-	}
-	var op lockOp
-	switch sel.Sel.Name {
-	case "Lock":
-		op = opLock
-	case "RLock":
-		op = opRLock
-	case "Unlock":
-		op = opUnlock
-	case "RUnlock":
-		op = opRUnlock
-	default:
-		return opNone, ""
-	}
-	tv, ok := p.Info.Types[sel.X]
-	if !ok || !isSyncMutex(tv.Type) {
-		return opNone, ""
-	}
-	return op, exprPath(sel.X)
-}
-
-func isSyncMutex(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// exprPath renders a selector chain like g.b.mu; unknown shapes get a
-// stable fallback so they still participate in held-state tracking.
-func exprPath(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprPath(x.X) + "." + x.Sel.Name
-	case *ast.ParenExpr:
-		return exprPath(x.X)
-	case *ast.StarExpr:
-		return exprPath(x.X)
-	}
-	return "<expr>"
-}
-
-// staticCallee resolves a call to a function or method declared in this
-// package.
-func staticCallee(p *Package, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, ok := p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg() != p.Pkg {
-		return nil
-	}
-	return fn
-}
-
-// lockWalker scans one function body in source order, tracking which
-// mutex paths are held and in what mode (write, read, or both).
-type lockWalker struct {
-	p          *Package
-	funcs      map[*types.Func]*ast.FuncDecl
-	mayAcquire map[*types.Func]bool
-	owner      *types.Func
-	diags      []finding
-}
-
-func copyHeld(held map[string]uint8) map[string]uint8 {
-	c := make(map[string]uint8, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-func (w *lockWalker) stmts(list []ast.Stmt, held map[string]uint8) {
-	for _, s := range list {
-		w.stmt(s, held)
-	}
-}
-
-// stmt updates held in place for lock operations at this nesting level
-// and scans nested blocks with a copy (a branch's lock state does not
-// leak past it; the common Lock-then-branch-Unlock-return pattern keeps
-// the outer state held, which is the conservative reading).
-func (w *lockWalker) stmt(s ast.Stmt, held map[string]uint8) {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		w.expr(st.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock releases only at return: the lock stays held
-		// for the rest of the body, i.e. no state change. A deferred call
-		// into an acquiring helper runs while any still-held lock is
-		// held.
-		if op, _ := lockCallKind(w.p, st.Call); op == opNone {
-			w.expr(st.Call, held)
-		}
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.expr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.expr(e, held)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.expr(st.Cond, held)
-		w.stmts(st.Body.List, copyHeld(held))
-		if st.Else != nil {
-			w.stmt(st.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			w.expr(st.Cond, held)
-		}
-		w.stmts(st.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		w.expr(st.X, held)
-		w.stmts(st.Body.List, copyHeld(held))
-	case *ast.BlockStmt:
-		w.stmts(st.List, held)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			w.expr(st.Tag, held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.GoStmt:
-		// A spawned goroutine does not run under the caller's locks.
-		w.expr(st.Call.Fun, map[string]uint8{})
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt,
-		*ast.LabeledStmt, *ast.SendStmt:
-		// No lock-relevant structure beyond nested expressions; keep the
-		// walk simple.
-	}
-}
-
-// expr handles lock transitions and call checks inside one expression.
-func (w *lockWalker) expr(e ast.Expr, held map[string]uint8) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // literals run later, under their caller's locks, not ours
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch op, path := lockCallKind(w.p, call); op {
-		case opLock:
-			if held[path]&heldWrite != 0 {
-				w.report(call, fmt.Sprintf("%s locks %s, which it already holds", w.owner.Name(), path))
-			}
-			held[path] |= heldWrite
-			return false
-		case opRLock:
-			switch {
-			case held[path]&heldWrite != 0:
-				w.report(call, fmt.Sprintf("%s read-locks %s while write-holding it; RWMutex is not reentrant", w.owner.Name(), path))
-			case held[path]&heldRead != 0:
-				w.report(call, fmt.Sprintf("%s read-locks %s, which it already read-holds; a writer queued between the two RLocks deadlocks", w.owner.Name(), path))
-			}
-			held[path] |= heldRead
-			return false
-		case opUnlock:
-			if held[path] &^= heldWrite; held[path] == 0 {
-				delete(held, path)
-			}
-			return false
-		case opRUnlock:
-			if held[path] &^= heldRead; held[path] == 0 {
-				delete(held, path)
-			}
-			return false
-		}
-		if len(held) == 0 {
-			return true
-		}
-		if callee := staticCallee(w.p, call); callee != nil && w.mayAcquire[callee] {
-			w.report(call, fmt.Sprintf("%s calls %s while holding %s; %s acquires a mutex — potential self-deadlock",
-				w.owner.Name(), callee.Name(), heldNames(held), callee.Name()))
-		}
-		return true
-	})
-}
-
-func heldNames(held map[string]uint8) string {
-	// Deterministic smallest key; one mutex is the overwhelmingly common
-	// case.
-	best := ""
-	for k := range held {
-		if best == "" || k < best {
-			best = k
-		}
-	}
-	return best
-}
-
-func (w *lockWalker) report(n ast.Node, msg string) {
-	w.diags = append(w.diags, finding{d: Diagnostic{Pos: nodeLine(w.p.Fset, n), Check: CheckMixerLock, Message: msg}})
 }
