@@ -451,6 +451,20 @@ func (w *heldWalker) stmt(s ast.Stmt, held []heldLock) []heldLock {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
 		return w.expr(st.X, held)
+	case *ast.IncDecStmt:
+		return w.expr(st.X, held)
+	case *ast.LabeledStmt:
+		return w.stmt(st.Stmt, held)
+	case *ast.DeclStmt:
+		if gd, ok := st.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, e := range vs.Values {
+						held = w.expr(e, held)
+					}
+				}
+			}
+		}
 	case *ast.SendStmt:
 		w.blocked(st, held)
 		return w.expr(st.Value, w.expr(st.Chan, held))

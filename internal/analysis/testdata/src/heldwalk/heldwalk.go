@@ -153,3 +153,47 @@ func (s *Store) Report(ch chan int) {
 	defer s.mu.Unlock()
 	s.offerSize(ch)
 }
+
+// The cases below sit in statements the held-lock walk must enter: a
+// labeled statement, a var declaration's values, an inc/dec operand
+// and a send's value.
+
+// Labeled sends, sleeps and calls size inside a labeled loop while
+// holding s.mu: all three flagged.
+func (s *Store) Labeled(ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+outer:
+	for i := 0; i < 3; i++ {
+		ch <- i
+		time.Sleep(time.Millisecond)
+		if s.size() > i {
+			break outer
+		}
+	}
+}
+
+// Declared calls size in a var initializer while holding s.mu:
+// flagged.
+func (s *Store) Declared() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n = s.size()
+	return n
+}
+
+// Counted calls size in an increment's operand while holding s.mu:
+// flagged.
+func (s *Store) Counted(hits []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hits[s.size()]++
+}
+
+// Published sends size's result while holding s.mu: the call is
+// flagged, and so is the send.
+func (s *Store) Published(ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ch <- s.size()
+}
