@@ -51,16 +51,17 @@
 //     only, or every unbounded loop selects on ctx.Done()/a close-only
 //     channel — unless justified with //qos:goroutine-ok <reason>.
 //
-// The checks other than cyclesarith, infguard and slabaccess are
-// queries over one program that Analyze builds per call (flow.go): the
-// module's function inventory, a static call graph whose edges mark
-// calls under a go statement or in a select's comm clause as spawned,
-// and one fixpoint that closes three facts per function over it —
-// which mutexes it may acquire (lockorder), whether it may acquire one
-// through same-package calls (mixerlock), and why it may block,
-// along unspawned edges only (blockunderlock, ctxloop, goroutinelife).
-// hotalloc walks the same edges from its roots, and mixerlock,
-// lockorder and blockunderlock are hook sets over one held-lock walker.
+// The checks other than cyclesarith, infguard, slabaccess and
+// atomicsafety are queries over one program that Analyze builds per
+// call (flow.go): the module's function inventory, a static call graph
+// whose edges mark calls under a go statement or in a select's comm
+// clause as spawned, and one fixpoint that closes three facts per
+// function over it — which mutexes it may acquire (lockorder), whether
+// it may acquire one through same-package calls (mixerlock), and why
+// it may block, along unspawned edges only (blockunderlock, ctxloop,
+// goroutinelife). hotalloc walks the same edges from its roots, and
+// mixerlock, lockorder and blockunderlock are hook sets over one
+// held-lock walker.
 //
 // The arithmetic checks (cyclesarith, infguard) honour the annotation
 //
@@ -186,8 +187,8 @@ func sortDiagnostics(ds []Diagnostic) {
 // whole package set, so cross-package mixed access, lock-order cycles,
 // hot-path reachability and may-block call chains are visible; all of
 // them but atomicsafety read the one program built here. mixerlock
-// reads it too but keeps its same-package scope: it only follows calls
-// within the caller's package.
+// still keeps its same-package scope: it follows only calls within the
+// caller's package.
 func Analyze(pkgs []*Package) []Diagnostic {
 	ann := collectAnnotations(pkgs)
 	prog := buildProgram(pkgs)

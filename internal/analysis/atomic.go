@@ -95,12 +95,8 @@ func shortQualifier(p *types.Package) string { return p.Name() }
 // isAtomicPkgCall reports whether call invokes a function of package
 // sync/atomic (the legacy free functions, not the value-type methods).
 func isAtomicPkgCall(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+	fn := calleeOf(p, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 		return false
 	}
 	// Free functions only: methods of atomic.Int64 & co have receivers.

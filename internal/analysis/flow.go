@@ -424,12 +424,13 @@ type heldHooks struct {
 // its changes do not leak past it: the common Lock-then-branch-Unlock-
 // return pattern keeps the outer state held, the conservative reading.
 // A deferred release holds to function end, and a deferred call runs
-// under the current set. The body of a go statement, function literals
-// (they run under their eventual caller's locks) and the communications
-// of a select's comm clauses are not walked.
+// under the current set. A go statement, function literals (they run
+// under their eventual caller's locks) and the communications of a
+// select's comm clauses are not walked.
 //
-// held is never written in place: an acquire appends and a release
-// copies, so a branch walks its parent's slice and drops the result.
+// No element of held is ever overwritten: an acquire appends past the
+// length, and a release's three-index slice sends its copy to a fresh
+// array. So a branch walks its parent's slice and drops the result.
 func walkHeld(p *Package, body *ast.BlockStmt, hooks heldHooks) {
 	w := &heldWalker{p, hooks}
 	w.stmts(body.List, nil)
